@@ -42,9 +42,11 @@ Status Catalog::Load(PageId root) {
   TableHeap heap(engine_, root);
   TableHeap::Iterator it = heap.Scan();
   while (true) {
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
-    BufferReader r(Slice(rec->second));
+    // Catalog records are not tuples: parse each whole record in place.
+    JAGUAR_ASSIGN_OR_RETURN(const TableHeap::Iterator::RecordView* rec,
+                            it.Advance(/*reassemble=*/true));
+    if (rec == nullptr) break;
+    BufferReader r(rec->bytes);
     JAGUAR_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
     if (tag == kTableTag) {
       TableInfo info;

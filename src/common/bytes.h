@@ -112,6 +112,8 @@ class BufferReader {
 
   size_t remaining() const { return data_.size(); }
   bool AtEnd() const { return data_.empty(); }
+  /// The unread bytes, without consuming them.
+  Slice Peek() const { return data_; }
 
   Result<uint8_t> ReadU8() {
     if (data_.size() < 1) return Truncated("u8");

@@ -35,6 +35,42 @@ obs::Counter* DeadlineExceededQueries() {
       obs::MetricsRegistry::Global()->GetCounter("exec.deadline.exceeded");
   return counter;
 }
+
+/// Collects the rows of `heap` that pass `predicate` (all rows when null),
+/// fully decoded, with their record ids: DELETE and UPDATE gather every
+/// target row before changing any, so no record view is held across a heap
+/// write. Rows that fail get only the predicate's columns decoded.
+Status CollectRows(TableHeap* heap, const Schema& schema,
+                   const exec::BoundExpr* predicate, UdfContext* ctx,
+                   const QueryDeadline& deadline, std::vector<Tuple>* rows,
+                   std::vector<RecordId>* rids) {
+  ColumnMask every;
+  for (size_t i = 0; i < schema.num_columns(); ++i) every.Add(i);
+  const exec::ScanSpec spec = exec::ScanSpec::Make(predicate, every);
+  exec::HeapScan scan(heap->Scan(), &spec, ctx);
+  return scan.ForEach(&deadline, [&](Tuple* t, RecordId rid) -> Status {
+    rows->push_back(std::move(*t));
+    rids->push_back(rid);
+    return Status::OK();
+  });
+}
+
+/// Inserts the key of every row of `table` into the empty index `idx`,
+/// decoding only the key column. `deadline` may be null.
+Status FillIndex(StorageEngine* engine, const IndexInfo* idx,
+                 const TableInfo* table, const QueryDeadline* deadline) {
+  ColumnMask key_column;
+  key_column.Add(idx->column_index);
+  const exec::ScanSpec spec = exec::ScanSpec::Make(nullptr, key_column);
+  BTree tree(engine, idx->root);
+  TableHeap heap(engine, table->first_page);
+  exec::HeapScan scan(heap.Scan(), &spec, /*ctx=*/nullptr);
+  return scan.ForEach(deadline, [&](Tuple* t, RecordId rid) -> Status {
+    const Value& key = t->value(idx->column_index);
+    if (key.is_null()) return Status::OK();  // NULL keys are never stored
+    return tree.Insert(key, rid);
+  });
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -53,21 +89,21 @@ Status LobStore::Init() {
     JAGUAR_ASSIGN_OR_RETURN(info, catalog_->GetTable(kLobTableName));
   }
   heap_root_ = (*info)->first_page;
-  // Build the handle index.
+  // Build the handle index; only the id column is decoded.
+  ColumnMask id_column;
+  id_column.Add(0);
+  const exec::ScanSpec spec = exec::ScanSpec::Make(nullptr, id_column);
   TableHeap heap(engine_, heap_root_);
-  TableHeap::Iterator it = heap.Scan();
-  while (true) {
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
-    JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-    if (t.num_values() != 2 || t.value(0).type() != TypeId::kInt) {
+  exec::HeapScan scan(heap.Scan(), &spec, /*ctx=*/nullptr);
+  return scan.ForEach(nullptr, [&](Tuple* t, RecordId rid) -> Status {
+    if (t->num_values() != 2 || t->value(0).type() != TypeId::kInt) {
       return Corruption("malformed LOB record");
     }
-    int64_t id = t.value(0).AsInt();
-    index_[id] = rec->first;
+    int64_t id = t->value(0).AsInt();
+    index_[id] = rid;
     next_id_ = std::max(next_id_, id + 1);
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Result<int64_t> LobStore::Store(const std::vector<uint8_t>& data) {
@@ -314,6 +350,17 @@ Result<QueryResult> Database::ExecuteAggregate(const sql::Statement& stmt,
         exec::BindAggregateOrderKey(sel, plan, udf_manager_.get()));
   }
 
+  // The scan decodes only what the group keys and aggregate arguments read
+  // (nothing at all for COUNT(*)).
+  ColumnMask reads;
+  for (const exec::BoundExprPtr& key : plan.group_keys) {
+    exec::CollectColumns(*key, &reads);
+  }
+  for (const exec::AggSpec& spec : plan.specs) {
+    if (spec.arg != nullptr) exec::CollectColumns(*spec.arg, &reads);
+  }
+  const exec::ScanSpec scan = exec::ScanSpec::Make(predicate.get(), reads);
+
   std::vector<Tuple> rows;
   const bool parallel =
       options_.num_workers > 1 && options_.vectorized_execution;
@@ -321,7 +368,7 @@ Result<QueryResult> Database::ExecuteAggregate(const sql::Statement& stmt,
     exec::ParallelAggregateSpec pspec;
     pspec.engine = storage_.get();
     pspec.first_page = table->first_page;
-    pspec.predicate = predicate.get();
+    pspec.scan = &scan;
     pspec.plan = &plan;
     pspec.batch_size = options_.batch_size;
     pspec.num_workers = options_.num_workers;
@@ -331,11 +378,7 @@ Result<QueryResult> Database::ExecuteAggregate(const sql::Statement& stmt,
     JAGUAR_ASSIGN_OR_RETURN(rows, exec::RunParallelAggregate(pspec));
   } else {
     exec::OperatorPtr op = std::make_unique<exec::SeqScanOp>(
-        storage_.get(), table->first_page, table->schema);
-    if (predicate != nullptr) {
-      op = std::make_unique<exec::FilterOp>(std::move(op),
-                                            std::move(predicate), &ctx);
-    }
+        storage_.get(), table->first_page, table->schema, scan, &ctx);
     exec::HashAggregateOp agg(
         std::move(op), &plan, &ctx,
         options_.vectorized_execution ? options_.batch_size : 0, &deadline);
@@ -377,9 +420,10 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
   ctx.set_callback_quota(options_.udf_callback_quota);
   ctx.set_deadline(&deadline);
 
-  // Plan: SeqScan|IndexScan -> [Filter] -> Project -> [Limit]. The predicate
-  // is bound here but only wrapped into a FilterOp on the serial path — the
-  // parallel scan evaluates it per worker against the shared expression tree.
+  // Plan: SeqScan (WHERE inside) | IndexScan -> [Filter] -> Project ->
+  // [Limit]. Only an index scan's residual predicate gets a FilterOp; a heap
+  // scan, serial or per morsel worker, evaluates the WHERE clause in its
+  // record loop, before decoding the columns only the projection reads.
   exec::BoundExprPtr predicate;
   if (sel.where != nullptr) {
     JAGUAR_ASSIGN_OR_RETURN(
@@ -397,16 +441,6 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
       candidates.push_back({idx->column_index, idx->root, idx->name});
     }
     pick = exec::PickIndexScan(&predicate, candidates, table->schema);
-  }
-
-  exec::OperatorPtr op;
-  if (pick.has_value()) {
-    op = std::make_unique<exec::IndexScanOp>(
-        storage_.get(), pick->root, table->first_page, table->schema,
-        pick->lower, pick->upper, pick->equality);
-  } else {
-    op = std::make_unique<exec::SeqScanOp>(storage_.get(), table->first_page,
-                                           table->schema);
   }
 
   std::vector<exec::BoundExprPtr> out_exprs;
@@ -443,6 +477,24 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
                               sel.table_alias, udf_manager_.get()));
   }
 
+  ColumnMask reads;
+  for (const exec::BoundExprPtr& e : out_exprs) exec::CollectColumns(*e, &reads);
+  if (order_key != nullptr) exec::CollectColumns(*order_key, &reads);
+  const exec::ScanSpec scan = exec::ScanSpec::Make(predicate.get(), reads);
+  exec::OperatorPtr op;
+  if (pick.has_value()) {
+    op = std::make_unique<exec::IndexScanOp>(
+        storage_.get(), pick->root, table->first_page, table->schema,
+        pick->lower, pick->upper, pick->equality);
+    if (predicate != nullptr) {
+      op = std::make_unique<exec::FilterOp>(std::move(op),
+                                            std::move(predicate), &ctx);
+    }
+  } else {
+    op = std::make_unique<exec::SeqScanOp>(
+        storage_.get(), table->first_page, table->schema, scan, &ctx);
+  }
+
   QueryResult result;
   result.schema = out_schema;
   // Every vectorized plan shape can run morsel-parallel: plain scans merge
@@ -457,7 +509,7 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
       exec::ParallelScanSpec pspec;
       pspec.engine = storage_.get();
       pspec.first_page = table->first_page;
-      pspec.predicate = predicate.get();
+      pspec.scan = &scan;
       pspec.out_exprs = &out_exprs;
       pspec.batch_size = options_.batch_size;
       pspec.num_workers = options_.num_workers;
@@ -468,10 +520,6 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
       JAGUAR_ASSIGN_OR_RETURN(result.rows, exec::RunParallelScan(pspec));
       result.rows_affected = result.rows.size();
       return result;
-    }
-    if (predicate != nullptr) {
-      op = std::make_unique<exec::FilterOp>(std::move(op),
-                                            std::move(predicate), &ctx);
     }
     op = std::make_unique<exec::ProjectOp>(std::move(op), std::move(out_exprs),
                                            out_schema, &ctx);
@@ -498,7 +546,7 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
     exec::ParallelSortSpec pspec;
     pspec.engine = storage_.get();
     pspec.first_page = table->first_page;
-    pspec.predicate = predicate.get();
+    pspec.scan = &scan;
     pspec.order_key = order_key.get();
     pspec.descending = sel.order_desc;
     pspec.limit = sel.limit;
@@ -510,10 +558,6 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
     pspec.deadline = &deadline;
     JAGUAR_ASSIGN_OR_RETURN(result.rows, exec::RunParallelSort(pspec));
   } else {
-    if (predicate != nullptr) {
-      op = std::make_unique<exec::FilterOp>(std::move(op),
-                                            std::move(predicate), &ctx);
-    }
     exec::SortOp sort(std::move(op), std::move(order_key),
                       std::move(out_exprs), out_schema, sel.order_desc,
                       sel.limit, &ctx,
@@ -548,31 +592,21 @@ Result<QueryResult> Database::ExecuteDelete(const sql::Statement& stmt,
                               udf_manager_.get()));
   }
 
-  // Collect matching records first, then delete (no iterator invalidation).
-  // The tuples ride along so index maintenance can re-derive the keys the
-  // deleted rows contributed.
+  // Collect matching records first, then delete: no record view is held
+  // across a heap write. The tuples ride along so index maintenance can
+  // re-derive the keys the deleted rows contributed.
   TableHeap heap(storage_.get(), table->first_page);
-  std::vector<std::pair<RecordId, Tuple>> victims;
-  TableHeap::Iterator it = heap.Scan();
-  while (true) {
-    JAGUAR_RETURN_IF_ERROR(deadline.Check());
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
-    JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-    bool matches = true;
-    if (predicate != nullptr) {
-      JAGUAR_ASSIGN_OR_RETURN(matches, exec::EvalPredicate(*predicate, t,
-                                                           &ctx));
-    }
-    if (matches) victims.emplace_back(rec->first, std::move(t));
-  }
-  for (const auto& [rid, tuple] : victims) {
-    JAGUAR_RETURN_IF_ERROR(heap.Delete(rid));
-    JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, tuple, rid));
+  std::vector<Tuple> rows;
+  std::vector<RecordId> rids;
+  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, predicate.get(),
+                                     &ctx, deadline, &rows, &rids));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    JAGUAR_RETURN_IF_ERROR(heap.Delete(rids[i]));
+    JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, rows[i], rids[i]));
   }
   QueryResult result;
-  result.rows_affected = victims.size();
-  result.message = StringPrintf("%zu row(s) deleted", victims.size());
+  result.rows_affected = rows.size();
+  result.message = StringPrintf("%zu row(s) deleted", rows.size());
   return result;
 }
 
@@ -607,8 +641,8 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
     assignments.push_back(std::move(a));
   }
 
-  // Phase 1: materialize the replacement tuples (value expressions see the
-  // old row). Phase 2: delete + reinsert — updates may change record size,
+  // Phase 1: collect the target rows, then materialize their replacement
+  // tuples (value expressions see the old row). Phase 2: delete + reinsert — updates may change record size,
   // and a collect-then-apply plan cannot revisit its own insertions. The old
   // tuple is retained so phase 2 can remove the index entries it contributed
   // before inserting the new row's entries under its new record id.
@@ -618,18 +652,15 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
     Tuple new_tuple;
   };
   TableHeap heap(storage_.get(), table->first_page);
+  std::vector<Tuple> rows;
+  std::vector<RecordId> rids;
+  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, predicate.get(),
+                                     &ctx, deadline, &rows, &rids));
   std::vector<PendingUpdate> updates;
-  TableHeap::Iterator it = heap.Scan();
-  while (true) {
+  updates.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
     JAGUAR_RETURN_IF_ERROR(deadline.Check());
-    JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-    if (!rec.has_value()) break;
-    JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-    if (predicate != nullptr) {
-      JAGUAR_ASSIGN_OR_RETURN(bool matches,
-                              exec::EvalPredicate(*predicate, t, &ctx));
-      if (!matches) continue;
-    }
+    const Tuple& t = rows[i];
     std::vector<Value> values = t.values();
     for (const Assignment& a : assignments) {
       JAGUAR_ASSIGN_OR_RETURN(Value v, exec::Eval(*a.value, t, &ctx));
@@ -642,7 +673,7 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
     Tuple updated(std::move(values));
     JAGUAR_RETURN_IF_ERROR(updated.CheckSchema(table->schema));
     JAGUAR_RETURN_IF_ERROR(ValidateIndexKeys(table, updated));
-    updates.push_back({rec->first, std::move(t), std::move(updated)});
+    updates.push_back({rids[i], std::move(rows[i]), std::move(updated)});
   }
   for (auto& u : updates) {
     JAGUAR_RETURN_IF_ERROR(heap.Delete(u.rid));
@@ -666,8 +697,10 @@ Result<QueryResult> Database::ExecuteInsert(const sql::Statement& stmt,
   ctx.set_deadline(&deadline);
   const Schema empty_schema;
   const Tuple empty_tuple;
-  TableHeap heap(storage_.get(), table->first_page);
-  uint64_t inserted = 0;
+  // Evaluate and validate every row before the first heap write, so a
+  // statement that fails on any row leaves the table as it was.
+  std::vector<Tuple> tuples;
+  tuples.reserve(ins.rows.size());
   for (const std::vector<sql::ExprPtr>& row : ins.rows) {
     JAGUAR_RETURN_IF_ERROR(deadline.Check());
     std::vector<Value> values;
@@ -693,14 +726,16 @@ Result<QueryResult> Database::ExecuteInsert(const sql::Statement& stmt,
     Tuple t(std::move(values));
     JAGUAR_RETURN_IF_ERROR(t.CheckSchema(table->schema));
     JAGUAR_RETURN_IF_ERROR(ValidateIndexKeys(table, t));
+    tuples.push_back(std::move(t));
+  }
+  TableHeap heap(storage_.get(), table->first_page);
+  for (const Tuple& t : tuples) {
     JAGUAR_ASSIGN_OR_RETURN(RecordId rid, heap.Insert(Slice(t.Serialize())));
     JAGUAR_RETURN_IF_ERROR(InsertIndexEntries(table, t, rid));
-    ++inserted;
   }
   QueryResult result;
-  result.rows_affected = inserted;
-  result.message = StringPrintf("%llu row(s) inserted",
-                                static_cast<unsigned long long>(inserted));
+  result.rows_affected = tuples.size();
+  result.message = StringPrintf("%zu row(s) inserted", tuples.size());
   return result;
 }
 
@@ -716,21 +751,7 @@ Result<QueryResult> Database::ExecuteCreateIndex(const sql::Statement& stmt,
 
   // Backfill from the existing heap. On failure the half-built index is
   // dropped (best effort) so a failed CREATE INDEX leaves no entry behind.
-  Status backfill = [&]() -> Status {
-    BTree tree(storage_.get(), idx->root);
-    TableHeap heap(storage_.get(), table->first_page);
-    TableHeap::Iterator it = heap.Scan();
-    while (true) {
-      JAGUAR_RETURN_IF_ERROR(deadline.Check());
-      JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-      if (!rec.has_value()) break;
-      JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-      const Value& key = t.value(idx->column_index);
-      if (key.is_null()) continue;  // NULL keys are never stored
-      JAGUAR_RETURN_IF_ERROR(tree.Insert(key, rec->first));
-    }
-    return Status::OK();
-  }();
+  Status backfill = FillIndex(storage_.get(), idx, table, &deadline);
   if (!backfill.ok()) {
     catalog_->DropIndex(ci.index).ok();
     return backfill;
@@ -791,18 +812,9 @@ Status Database::RebuildIndexesAfterCrash() {
     JAGUAR_ASSIGN_OR_RETURN(const IndexInfo* idx, catalog_->GetIndex(name));
     JAGUAR_ASSIGN_OR_RETURN(const TableInfo* table,
                             catalog_->GetTable(idx->table));
-    BTree tree(storage_.get(), idx->root);
-    JAGUAR_RETURN_IF_ERROR(tree.Clear());
-    TableHeap heap(storage_.get(), table->first_page);
-    TableHeap::Iterator it = heap.Scan();
-    while (true) {
-      JAGUAR_ASSIGN_OR_RETURN(auto rec, it.Next());
-      if (!rec.has_value()) break;
-      JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(rec->second)));
-      const Value& key = t.value(idx->column_index);
-      if (key.is_null()) continue;
-      JAGUAR_RETURN_IF_ERROR(tree.Insert(key, rec->first));
-    }
+    JAGUAR_RETURN_IF_ERROR(BTree(storage_.get(), idx->root).Clear());
+    JAGUAR_RETURN_IF_ERROR(
+        FillIndex(storage_.get(), idx, table, /*deadline=*/nullptr));
     any = true;
   }
   // The rebuild itself is WAL-logged like any other mutation; commit it so

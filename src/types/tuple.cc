@@ -4,21 +4,78 @@
 
 namespace jaguar {
 
+namespace {
+
+constexpr uint32_t kMaxArity = 1u << 20;
+
+Status Truncated(const char* what) {
+  return Corruption(std::string("truncated input while reading ") + what);
+}
+
+}  // namespace
+
 void Tuple::WriteTo(BufferWriter* w) const {
   w->PutU32(static_cast<uint32_t>(values_.size()));
   for (const Value& v : values_) v.WriteTo(w);
 }
 
-Result<Tuple> Tuple::ReadFrom(BufferReader* r) {
-  JAGUAR_ASSIGN_OR_RETURN(uint32_t n, r->ReadU32());
-  if (n > 1u << 20) return Corruption("implausible tuple arity");
-  std::vector<Value> values;
-  values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    JAGUAR_ASSIGN_OR_RETURN(Value v, Value::ReadFrom(r));
-    values.push_back(std::move(v));
+Result<Tuple::Walk> Tuple::DecodeFrom(Slice in, const ColumnMask& mask,
+                                      bool prefix, Tuple* out,
+                                      size_t* consumed) {
+  Slice rest = in;
+  if (rest.size() < 4) {
+    if (prefix) return Walk::kNeedWhole;
+    return Truncated("u32");
   }
-  return Tuple(std::move(values));
+  const uint32_t n = static_cast<uint32_t>(rest[0]) |
+                     static_cast<uint32_t>(rest[1]) << 8 |
+                     static_cast<uint32_t>(rest[2]) << 16 |
+                     static_cast<uint32_t>(rest[3]) << 24;
+  rest.RemovePrefix(4);
+  if (n > kMaxArity) return Corruption("implausible tuple arity");
+  // Every column takes at least its tag byte: refuse a corrupt arity before
+  // sizing the tuple for it.
+  if (!prefix && n > rest.size()) return Truncated("tuple columns");
+  std::vector<Value>& values = out->values_;
+  // A tuple that already has the record's arity keeps its other columns (a
+  // second decode phase); otherwise it is rebuilt column by column.
+  const bool fresh = values.size() != n;
+  if (fresh) {
+    values.clear();
+    values.reserve(n);
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    TypeId type;
+    Slice payload;
+    JAGUAR_ASSIGN_OR_RETURN(size_t size,
+                            Value::Locate(rest, &type, &payload));
+    if (size == 0) {
+      if (!prefix) return Truncated("a value");
+      // A prefix may end anywhere; that is a miss only while a masked
+      // column is still ahead.
+      if (fresh) values.resize(n);
+      return mask.AnyFrom(i) ? Walk::kNeedWhole : Walk::kPrefixEnd;
+    }
+    if (fresh) {
+      values.push_back(mask.Has(i) ? Value::FromPayload(type, payload)
+                                   : Value());
+    } else if (mask.Has(i)) {
+      values[i] = Value::FromPayload(type, payload);
+    }
+    rest.RemovePrefix(size);
+  }
+  *consumed = in.size() - rest.size();
+  return Walk::kEnd;
+}
+
+Result<Tuple> Tuple::ReadFrom(BufferReader* r) {
+  Tuple t;
+  size_t consumed = 0;
+  JAGUAR_RETURN_IF_ERROR(
+      DecodeFrom(r->Peek(), ColumnMask::All(), false, &t, &consumed)
+          .status());
+  JAGUAR_RETURN_IF_ERROR(r->ReadBytes(consumed).status());
+  return t;
 }
 
 std::vector<uint8_t> Tuple::Serialize() const {
@@ -28,10 +85,31 @@ std::vector<uint8_t> Tuple::Serialize() const {
 }
 
 Result<Tuple> Tuple::Deserialize(Slice bytes) {
-  BufferReader r(bytes);
-  JAGUAR_ASSIGN_OR_RETURN(Tuple t, ReadFrom(&r));
-  if (!r.AtEnd()) return Corruption("trailing bytes after tuple");
+  Tuple t;
+  JAGUAR_RETURN_IF_ERROR(
+      DecodeColumns(bytes, ColumnMask::All(), /*prefix=*/false, &t).status());
   return t;
+}
+
+Result<bool> Tuple::DecodeColumns(Slice bytes, const ColumnMask& mask,
+                                  bool prefix, Tuple* out) {
+  size_t consumed = 0;
+  JAGUAR_ASSIGN_OR_RETURN(Walk walk,
+                          DecodeFrom(bytes, mask, prefix, out, &consumed));
+  switch (walk) {
+    case Walk::kNeedWhole:
+      return false;
+    case Walk::kPrefixEnd:
+      return true;
+    case Walk::kEnd:
+      // A tuple that ends inside a prefix leaves the rest of its record
+      // over: trailing bytes, just as on a whole record.
+      if (prefix || consumed != bytes.size()) {
+        return Corruption("trailing bytes after tuple");
+      }
+      return true;
+  }
+  return Internal("unhandled decode walk");
 }
 
 Status Tuple::CheckSchema(const Schema& schema) const {

@@ -1,5 +1,7 @@
 #include "types/value.h"
 
+#include <cstring>
+
 #include "common/string_util.h"
 
 namespace jaguar {
@@ -119,33 +121,62 @@ void Value::WriteTo(BufferWriter* w) const {
   }
 }
 
-Result<Value> Value::ReadFrom(BufferReader* r) {
-  JAGUAR_ASSIGN_OR_RETURN(uint8_t tag, r->ReadU8());
+Result<size_t> Value::Locate(Slice in, TypeId* type, Slice* payload) {
+  if (in.empty()) return 0;
+  const uint8_t tag = in[0];
+  size_t header = 1;
+  size_t width = 0;
   switch (static_cast<TypeId>(tag)) {
-    case TypeId::kNull:
-      return Value::Null();
-    case TypeId::kBool: {
-      JAGUAR_ASSIGN_OR_RETURN(uint8_t b, r->ReadU8());
-      return Value::Bool(b != 0);
-    }
-    case TypeId::kInt: {
-      JAGUAR_ASSIGN_OR_RETURN(int64_t v, r->ReadI64());
-      return Value::Int(v);
-    }
-    case TypeId::kDouble: {
-      JAGUAR_ASSIGN_OR_RETURN(double v, r->ReadDouble());
-      return Value::Double(v);
-    }
-    case TypeId::kString: {
-      JAGUAR_ASSIGN_OR_RETURN(std::string s, r->ReadString());
-      return Value::String(std::move(s));
-    }
-    case TypeId::kBytes: {
-      JAGUAR_ASSIGN_OR_RETURN(Slice s, r->ReadLengthPrefixed());
-      return Value::Bytes(s.ToVector());
+    case TypeId::kNull: break;
+    case TypeId::kBool: width = 1; break;
+    case TypeId::kInt:
+    case TypeId::kDouble: width = 8; break;
+    case TypeId::kString:
+    case TypeId::kBytes:
+      if (in.size() < 5) return 0;
+      header = 5;
+      width = static_cast<size_t>(in[1]) | static_cast<size_t>(in[2]) << 8 |
+              static_cast<size_t>(in[3]) << 16 |
+              static_cast<size_t>(in[4]) << 24;
+      break;
+    default:
+      return Corruption("unknown value type tag " + std::to_string(tag));
+  }
+  if (in.size() - header < width) return 0;
+  *type = static_cast<TypeId>(tag);
+  *payload = Slice(in.data() + header, width);
+  return header + width;
+}
+
+Value Value::FromPayload(TypeId type, Slice payload) {
+  uint64_t bits = 0;
+  if (type == TypeId::kInt || type == TypeId::kDouble) {
+    for (int i = 0; i < 8; ++i) {
+      bits |= static_cast<uint64_t>(payload[i]) << (8 * i);
     }
   }
-  return Corruption("unknown value type tag " + std::to_string(tag));
+  switch (type) {
+    case TypeId::kNull: return Value::Null();
+    case TypeId::kBool: return Value::Bool(payload[0] != 0);
+    case TypeId::kInt: return Value::Int(static_cast<int64_t>(bits));
+    case TypeId::kDouble: {
+      double d;
+      std::memcpy(&d, &bits, sizeof(d));
+      return Value::Double(d);
+    }
+    case TypeId::kString: return Value::String(payload.ToString());
+    case TypeId::kBytes: return Value::Bytes(payload.ToVector());
+  }
+  return Value::Null();
+}
+
+Result<Value> Value::ReadFrom(BufferReader* r) {
+  TypeId type;
+  Slice payload;
+  JAGUAR_ASSIGN_OR_RETURN(size_t size, Locate(r->Peek(), &type, &payload));
+  if (size == 0) return Corruption("truncated input while reading a value");
+  JAGUAR_RETURN_IF_ERROR(r->ReadBytes(size).status());
+  return FromPayload(type, payload);
 }
 
 size_t Value::SerializedSize() const {

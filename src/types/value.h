@@ -98,6 +98,14 @@ class Value {
   /// ADT stream protocol: reads one value written by `WriteTo`.
   static Result<Value> ReadFrom(BufferReader* r);
 
+  /// Finds the value encoded at the front of `in` without materializing
+  /// it: its type, and its payload (the bytes after the tag and any length
+  /// prefix). \return The encoded size, or 0 when `in` ends before the
+  /// value does; Corruption on an unknown type tag.
+  static Result<size_t> Locate(Slice in, TypeId* type, Slice* payload);
+  /// Materializes a value found by `Locate`.
+  static Value FromPayload(TypeId type, Slice payload);
+
   /// \return Serialized size in bytes (tag + payload).
   size_t SerializedSize() const;
 

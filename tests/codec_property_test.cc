@@ -145,8 +145,147 @@ TEST(ValueCodecTest, RoundTripIsByteIdentical) {
   }
 }
 
+// The mask decoder (`Tuple::DecodeColumns`) is the heap scan's record
+// decoder and `Deserialize` is its all-columns case. On a whole record it
+// must give the reference decoder's verdict on every input — accept what it
+// accepts, Corruption where it fails — and its values on the masked columns
+// (NULL elsewhere). A scan may first see only an overflow record's
+// first chunk: decoding that prefix may stop early, but it never reports a
+// Corruption the whole record lacks and, falling back to the whole record
+// when it needs a column past the chunk, yields the same values.
+
+ColumnMask RandomMask(Random* rng, size_t arity) {
+  switch (rng->Uniform(4)) {
+    case 0: return ColumnMask();
+    case 1: return ColumnMask::All();
+    default: {
+      ColumnMask mask;
+      for (size_t i = 0; i < arity + 2; ++i) {
+        if (rng->Uniform(2) == 1) mask.Add(i);
+      }
+      return mask;
+    }
+  }
+}
+
+std::string EncodedValue(const Value& v) {
+  BufferWriter w;
+  v.WriteTo(&w);
+  return Slice(w.buffer()).ToString();
+}
+
+/// `got` holds `want`'s values on the masked columns and NULL elsewhere.
+::testing::AssertionResult MaskedEqual(const Tuple& want, const Tuple& got,
+                                       const ColumnMask& mask) {
+  if (got.num_values() != want.num_values()) {
+    return ::testing::AssertionFailure()
+           << "arity " << got.num_values() << " != " << want.num_values();
+  }
+  for (size_t c = 0; c < want.num_values(); ++c) {
+    const Value expected = mask.Has(c) ? want.value(c) : Value::Null();
+    if (EncodedValue(got.value(c)) != EncodedValue(expected)) {
+      return ::testing::AssertionFailure() << "column " << c << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Decodes `bytes` the way a heap scan does when the record's first chunk
+/// holds `chunk` bytes: the prefix first, the whole record if a masked
+/// column lies past it.
+Result<Tuple> DecodeAsScan(const std::vector<uint8_t>& bytes, size_t chunk,
+                           const ColumnMask& mask) {
+  Tuple t;
+  if (chunk < bytes.size()) {
+    JAGUAR_ASSIGN_OR_RETURN(
+        bool done, Tuple::DecodeColumns(Slice(bytes.data(), chunk), mask,
+                                        /*prefix=*/true, &t));
+    if (done) return t;
+  }
+  JAGUAR_RETURN_IF_ERROR(
+      Tuple::DecodeColumns(Slice(bytes), mask, /*prefix=*/false, &t).status());
+  return t;
+}
+
+/// An independent reference decoder — arity bound, every column read
+/// through `BufferReader`, no trailing bytes — sharing no code with the
+/// mask decoder, which `Deserialize` and `Value::ReadFrom` both use.
+Result<Value> ReferenceReadValue(BufferReader* r) {
+  JAGUAR_ASSIGN_OR_RETURN(uint8_t tag, r->ReadU8());
+  switch (static_cast<TypeId>(tag)) {
+    case TypeId::kNull:
+      return Value::Null();
+    case TypeId::kBool: {
+      JAGUAR_ASSIGN_OR_RETURN(uint8_t b, r->ReadU8());
+      return Value::Bool(b != 0);
+    }
+    case TypeId::kInt: {
+      JAGUAR_ASSIGN_OR_RETURN(int64_t v, r->ReadI64());
+      return Value::Int(v);
+    }
+    case TypeId::kDouble: {
+      JAGUAR_ASSIGN_OR_RETURN(double v, r->ReadDouble());
+      return Value::Double(v);
+    }
+    case TypeId::kString: {
+      JAGUAR_ASSIGN_OR_RETURN(std::string s, r->ReadString());
+      return Value::String(std::move(s));
+    }
+    case TypeId::kBytes: {
+      JAGUAR_ASSIGN_OR_RETURN(Slice s, r->ReadLengthPrefixed());
+      return Value::Bytes(s.ToVector());
+    }
+  }
+  return Corruption("unknown value type tag");
+}
+
+Result<Tuple> ReferenceDeserialize(Slice bytes) {
+  BufferReader r(bytes);
+  JAGUAR_ASSIGN_OR_RETURN(uint32_t n, r.ReadU32());
+  if (n > 1u << 20) return Corruption("implausible tuple arity");
+  std::vector<Value> values;
+  for (uint32_t i = 0; i < n; ++i) {
+    JAGUAR_ASSIGN_OR_RETURN(Value v, ReferenceReadValue(&r));
+    values.push_back(std::move(v));
+  }
+  if (!r.AtEnd()) return Corruption("trailing bytes after tuple");
+  return Tuple(std::move(values));
+}
+
+/// Holds the mask decoder to the reference decoder's verdict and values on
+/// `bytes`, whole and cut at `chunk` like an overflow record's first chunk.
+void ExpectMaskDecoderAgrees(const std::vector<uint8_t>& bytes, size_t chunk,
+                             const ColumnMask& mask, int round) {
+  Result<Tuple> full = ReferenceDeserialize(Slice(bytes));
+  Result<Tuple> all = Tuple::Deserialize(Slice(bytes));
+  ASSERT_EQ(all.ok(), full.ok()) << "round " << round;
+  if (all.ok()) {
+    EXPECT_EQ(all->Serialize(), full->Serialize()) << "round " << round;
+  }
+  Tuple t;
+  Result<bool> whole =
+      Tuple::DecodeColumns(Slice(bytes), mask, /*prefix=*/false, &t);
+  ASSERT_EQ(whole.ok(), full.ok()) << "round " << round;
+  if (!full.ok()) {
+    EXPECT_TRUE(full.status().IsCorruption()) << "round " << round;
+    EXPECT_TRUE(whole.status().IsCorruption()) << "round " << round;
+  } else {
+    EXPECT_TRUE(*whole) << "round " << round;
+    EXPECT_TRUE(MaskedEqual(*full, t, mask)) << "round " << round;
+  }
+  Result<Tuple> scan = DecodeAsScan(bytes, chunk, mask);
+  if (full.ok()) {
+    ASSERT_TRUE(scan.ok()) << "round " << round << ": "
+                           << scan.status().ToString();
+    EXPECT_TRUE(MaskedEqual(*full, *scan, mask)) << "round " << round;
+  } else if (!scan.ok()) {
+    EXPECT_TRUE(scan.status().IsCorruption()) << "round " << round;
+  }
+}
+
 TEST(TupleCodecTest, RoundTripIsByteIdentical) {
   Random rng(0x7EA);
+  Random mask_rng(0x3A5C);
   for (int i = 0; i < 2000; ++i) {
     std::vector<Value> values;
     size_t n = rng.Uniform(8);
@@ -157,12 +296,63 @@ TEST(TupleCodecTest, RoundTripIsByteIdentical) {
     auto decoded = Tuple::Deserialize(Slice(bytes));
     ASSERT_TRUE(decoded.ok()) << "round " << i;
     EXPECT_EQ(decoded->Serialize(), bytes) << "round " << i;
+    const ColumnMask mask = RandomMask(&mask_rng, n);
+    ExpectMaskDecoderAgrees(bytes, 1 + mask_rng.Uniform(bytes.size()), mask,
+                            i);
 
     if (!bytes.empty()) {
       size_t cut = rng.Uniform(bytes.size());
       EXPECT_FALSE(Tuple::Deserialize(Slice(bytes.data(), cut)).ok())
           << "round " << i << ": accepted a tuple cut to " << cut;
+      Tuple partial;
+      EXPECT_TRUE(Tuple::DecodeColumns(Slice(bytes.data(), cut), mask,
+                                       /*prefix=*/false, &partial)
+                      .status()
+                      .IsCorruption())
+          << "round " << i << ": mask decoder accepted a cut to " << cut;
     }
+  }
+}
+
+TEST(TupleCodecTest, SingleBitFlipsGetTheReferenceVerdict) {
+  Random rng(0xF11B);
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<Value> values;
+    size_t n = 1 + rng.Uniform(7);
+    for (size_t j = 0; j < n; ++j) values.push_back(RandomValue(&rng));
+    std::vector<uint8_t> bytes = Tuple(std::move(values)).Serialize();
+    const size_t bit = rng.Uniform(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ExpectMaskDecoderAgrees(bytes, 1 + rng.Uniform(bytes.size()),
+                            RandomMask(&rng, n), i);
+  }
+}
+
+TEST(TupleCodecTest, OverflowSizedRecordsCutAtTheFirstChunk) {
+  // Records longer than one overflow page, cut exactly where the heap cuts
+  // an overflow record's first chunk: the chunk capacity of a page.
+  constexpr size_t kChunk = kPageLsnOffset - 8;
+  Random rng(0x0F10);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<Value> values;
+    size_t n = 1 + rng.Uniform(6);
+    for (size_t j = 0; j < n; ++j) {
+      if (rng.Uniform(3) == 0) {
+        values.push_back(Value::Bytes(rng.Bytes(2000 + rng.Uniform(12000))));
+      } else {
+        values.push_back(RandomValue(&rng));
+      }
+    }
+    std::vector<uint8_t> bytes = Tuple(std::move(values)).Serialize();
+    const ColumnMask mask = RandomMask(&rng, n);
+    ExpectMaskDecoderAgrees(bytes, kChunk, mask, i);
+    // The same record truncated, and with one bit flipped.
+    std::vector<uint8_t> cut(bytes.begin(),
+                             bytes.begin() + rng.Uniform(bytes.size()));
+    ExpectMaskDecoderAgrees(cut, kChunk, mask, i);
+    const size_t bit = rng.Uniform(bytes.size() * 8);
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ExpectMaskDecoderAgrees(bytes, kChunk, mask, i);
   }
 }
 

@@ -131,6 +131,40 @@ TEST_F(EngineTest, InsertSchemaValidation) {
   EXPECT_EQ(MustExecute("SELECT x FROM d").rows[0].value(0).AsDouble(), 3.0);
 }
 
+TEST_F(EngineTest, FailedMultiRowInsertChangesNothing) {
+  MustExecute("CREATE TABLE t (a INT, b STRING)");
+  MustExecute("CREATE INDEX t_b ON t (b)");
+  MustExecute("INSERT INTO t VALUES (0, 'z')");
+  // The second row fails the schema check, and in the next statement the
+  // second row's key exceeds the index key limit: every row is evaluated
+  // and validated before the first heap write, so the valid first rows do
+  // not land either.
+  Result<QueryResult> bad = db_->Execute("INSERT INTO t VALUES (1, 'a'), (2, 3)");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+  bad = db_->Execute("INSERT INTO t VALUES (3, 'c'), (4, '" +
+                     std::string(2000, 'k') + "')");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_TRUE(bad.status().IsInvalidArgument()) << bad.status();
+
+  auto expect_unchanged = [&] {
+    QueryResult all = MustExecute("SELECT * FROM t");
+    ASSERT_EQ(all.rows.size(), 1u);
+    EXPECT_EQ(all.rows[0].ToString(), "(0, 'z')");
+    // The index holds no entry of the failed statements either.
+    for (const char* key : {"a", "c"}) {
+      QueryResult hit = MustExecute(
+          std::string("SELECT a FROM t WHERE b = '") + key + "'");
+      EXPECT_EQ(hit.rows.size(), 0u) << key;
+      EXPECT_EQ(hit.metrics_delta.at("exec.index.scans"), 1u);
+    }
+  };
+  expect_unchanged();
+  db_.reset();
+  db_ = Database::Open(path_).value();
+  expect_unchanged();
+}
+
 TEST_F(EngineTest, BuiltinsWork) {
   MustExecute("CREATE TABLE r (data BYTEARRAY)");
   MustExecute("INSERT INTO r VALUES (randbytes(100, 7)), (zerobytes(5))");

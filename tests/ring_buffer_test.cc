@@ -7,6 +7,7 @@
 
 #include "common/ring_buffer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -82,7 +83,10 @@ TEST(RingBufferTest, RoundTripsFramesOfEverySize) {
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(frame->type, 17u);
     ASSERT_EQ(frame->payload.size(), len);
-    EXPECT_EQ(0, std::memcmp(frame->payload.data(), payload.data(), len));
+    // std::equal, not memcmp: an empty vector's data() may be null, and
+    // passing null to memcmp is undefined even for zero bytes.
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           frame->payload.data()));
     h.ring()->Release(frame->end_pos);
   }
 }
@@ -304,7 +308,9 @@ TEST(RingBufferStressTest, TwoThreadFifoOrderAndContent) {
     const size_t len = (i * 17) % 1500;
     ASSERT_EQ(frame->payload.size(), len) << i;
     std::vector<uint8_t> expect = PatternPayload(len, i);
-    ASSERT_EQ(0, std::memcmp(frame->payload.data(), expect.data(), len)) << i;
+    ASSERT_TRUE(std::equal(expect.begin(), expect.end(),
+                           frame->payload.data()))
+        << i;
     h.ring()->Release(frame->end_pos);
   }
   producer.join();
