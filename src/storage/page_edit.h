@@ -20,8 +20,7 @@
 /// One rule follows from diff-based logging: every mutation of a cached page
 /// must go through an edit that gets committed — an unlogged mutation would
 /// make later diffs land on a different base during replay. Call sites that
-/// mutate and then bail (e.g. a slotted-page insert that compacts and still
-/// fails) must still commit the edit.
+/// mutate and then bail must still commit the edit.
 
 #include <memory>
 
