@@ -39,15 +39,26 @@ obs::Counter* DeadlineExceededQueries() {
 /// Collects the rows of `heap` that pass `predicate` (all rows when null),
 /// fully decoded, with their record ids: DELETE and UPDATE gather every
 /// target row before changing any, so no record view is held across a heap
-/// write. Rows that fail get only the predicate's columns decoded.
+/// write. With an index `pick` only its survivors are read, and
+/// `predicate` is the residual; either way rows come in heap-chain order,
+/// so the changes apply in the same order whichever path found them. Rows
+/// that fail get only the predicate's columns decoded.
 Status CollectRows(TableHeap* heap, const Schema& schema,
+                   const std::optional<exec::IndexPick>& pick,
                    const exec::BoundExpr* predicate, UdfContext* ctx,
                    const QueryDeadline& deadline, std::vector<Tuple>* rows,
                    std::vector<RecordId>* rids) {
   ColumnMask every;
   for (size_t i = 0; i < schema.num_columns(); ++i) every.Add(i);
   const exec::ScanSpec spec = exec::ScanSpec::Make(predicate, every);
-  exec::HeapScan scan(heap->Scan(), &spec, ctx);
+  std::vector<RecordId> listed;
+  TableHeap::Iterator cursor = heap->Scan();
+  if (pick.has_value()) {
+    JAGUAR_ASSIGN_OR_RETURN(listed, exec::ProbeIndex(heap->engine(), *pick));
+    JAGUAR_RETURN_IF_ERROR(heap->OrderByChain(&listed));
+    cursor = heap->Fetch(listed);
+  }
+  exec::HeapScan scan(std::move(cursor), &spec, ctx);
   return scan.ForEach(&deadline, [&](Tuple* t, RecordId rid) -> Status {
     rows->push_back(std::move(*t));
     rids->push_back(rid);
@@ -117,14 +128,7 @@ Result<int64_t> LobStore::Store(const std::vector<uint8_t>& data) {
 
 Result<std::vector<uint8_t>> LobStore::Fetch(int64_t handle, uint64_t offset,
                                              uint64_t len) {
-  auto it = index_.find(handle);
-  if (it == index_.end()) {
-    return NotFound(StringPrintf("no LOB with handle %lld",
-                                 static_cast<long long>(handle)));
-  }
-  TableHeap heap(engine_, heap_root_);
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, heap.Get(it->second));
-  JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(bytes)));
+  JAGUAR_ASSIGN_OR_RETURN(Tuple t, Read(handle));
   const std::vector<uint8_t>& data = t.value(1).AsBytes();
   if (offset >= data.size()) return std::vector<uint8_t>();
   uint64_t end = std::min<uint64_t>(data.size(), offset + len);
@@ -132,15 +136,30 @@ Result<std::vector<uint8_t>> LobStore::Fetch(int64_t handle, uint64_t offset,
 }
 
 Result<uint64_t> LobStore::Size(int64_t handle) {
+  JAGUAR_ASSIGN_OR_RETURN(Tuple t, Read(handle));
+  return t.value(1).AsBytes().size();
+}
+
+Result<Tuple> LobStore::Read(int64_t handle) {
   auto it = index_.find(handle);
   if (it == index_.end()) {
     return NotFound(StringPrintf("no LOB with handle %lld",
                                  static_cast<long long>(handle)));
   }
+  // Read in place, decoding only the data column.
+  ColumnMask data_column;
+  data_column.Add(1);
+  const exec::ScanSpec spec = exec::ScanSpec::Make(nullptr, data_column);
   TableHeap heap(engine_, heap_root_);
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, heap.Get(it->second));
-  JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(bytes)));
-  return t.value(1).AsBytes().size();
+  const std::vector<RecordId> rids = {it->second};
+  exec::HeapScan scan(heap.Fetch(rids), &spec, /*ctx=*/nullptr);
+  std::vector<Tuple> rows;
+  JAGUAR_RETURN_IF_ERROR(scan.Read(1, /*batched=*/false, &rows).status());
+  if (rows.size() != 1 || rows[0].num_values() != 2 ||
+      rows[0].value(1).type() != TypeId::kBytes) {
+    return Corruption("malformed LOB record");
+  }
+  return std::move(rows[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,17 +450,7 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
                               sel.table_alias, udf_manager_.get()));
   }
 
-  // Planner rule: if some AND-chain conjunct is `<indexed col> <cmp> <lit>`,
-  // probe the B+-tree and evaluate only the residual predicate (which may
-  // hold expensive UDF calls) on the survivors.
-  std::optional<exec::IndexPick> pick;
-  if (predicate != nullptr) {
-    std::vector<exec::IndexCandidate> candidates;
-    for (const IndexInfo* idx : catalog_->IndexesForTable(sel.table)) {
-      candidates.push_back({idx->column_index, idx->root, idx->name});
-    }
-    pick = exec::PickIndexScan(&predicate, candidates, table->schema);
-  }
+  std::optional<exec::IndexPick> pick = ChooseAccessPath(table, &predicate);
 
   std::vector<exec::BoundExprPtr> out_exprs;
   std::vector<Column> out_cols;
@@ -483,9 +492,11 @@ Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
   const exec::ScanSpec scan = exec::ScanSpec::Make(predicate.get(), reads);
   exec::OperatorPtr op;
   if (pick.has_value()) {
-    op = std::make_unique<exec::IndexScanOp>(
-        storage_.get(), pick->root, table->first_page, table->schema,
-        pick->lower, pick->upper, pick->equality);
+    ColumnMask fetched = reads;
+    if (predicate != nullptr) exec::CollectColumns(*predicate, &fetched);
+    op = std::make_unique<exec::IndexScanOp>(storage_.get(), std::move(*pick),
+                                             table->first_page, table->schema,
+                                             fetched);
     if (predicate != nullptr) {
       op = std::make_unique<exec::FilterOp>(std::move(op),
                                             std::move(predicate), &ctx);
@@ -595,11 +606,14 @@ Result<QueryResult> Database::ExecuteDelete(const sql::Statement& stmt,
   // Collect matching records first, then delete: no record view is held
   // across a heap write. The tuples ride along so index maintenance can
   // re-derive the keys the deleted rows contributed.
+  const std::optional<exec::IndexPick> pick =
+      ChooseAccessPath(table, &predicate);
   TableHeap heap(storage_.get(), table->first_page);
   std::vector<Tuple> rows;
   std::vector<RecordId> rids;
-  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, predicate.get(),
-                                     &ctx, deadline, &rows, &rids));
+  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, pick,
+                                     predicate.get(), &ctx, deadline, &rows,
+                                     &rids));
   for (size_t i = 0; i < rows.size(); ++i) {
     JAGUAR_RETURN_IF_ERROR(heap.Delete(rids[i]));
     JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, rows[i], rids[i]));
@@ -651,11 +665,14 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
     Tuple old_tuple;
     Tuple new_tuple;
   };
+  const std::optional<exec::IndexPick> pick =
+      ChooseAccessPath(table, &predicate);
   TableHeap heap(storage_.get(), table->first_page);
   std::vector<Tuple> rows;
   std::vector<RecordId> rids;
-  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, predicate.get(),
-                                     &ctx, deadline, &rows, &rids));
+  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, pick,
+                                     predicate.get(), &ctx, deadline, &rows,
+                                     &rids));
   std::vector<PendingUpdate> updates;
   updates.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -766,6 +783,15 @@ Result<QueryResult> Database::ExecuteDropIndex(const sql::Statement& stmt) {
   QueryResult result;
   result.message = "Index " + stmt.drop_index.index + " dropped";
   return result;
+}
+
+std::optional<exec::IndexPick> Database::ChooseAccessPath(
+    const TableInfo* table, exec::BoundExprPtr* predicate) const {
+  std::vector<exec::IndexCandidate> candidates;
+  for (const IndexInfo* idx : catalog_->IndexesForTable(table->name)) {
+    candidates.push_back({idx->column_index, idx->root, idx->name});
+  }
+  return exec::PickIndexScan(predicate, candidates, table->schema);
 }
 
 Status Database::ValidateIndexKeys(const TableInfo* table,

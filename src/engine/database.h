@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -36,6 +37,11 @@ namespace jaguar {
 namespace sql {
 struct Statement;
 }  // namespace sql
+
+namespace exec {
+struct BoundExpr;
+struct IndexPick;
+}  // namespace exec
 
 struct DatabaseOptions {
   /// Buffer pool capacity in pages (8 KB each).
@@ -133,6 +139,9 @@ class LobStore {
   Result<uint64_t> Size(int64_t handle);
 
  private:
+  /// The object's record, with only its data column decoded.
+  Result<Tuple> Read(int64_t handle);
+
   StorageEngine* engine_;
   Catalog* catalog_;
   PageId heap_root_ = kInvalidPageId;
@@ -205,6 +214,13 @@ class Database : public UdfCallbackHandler {
   Result<QueryResult> ExecuteCreateIndex(const sql::Statement& stmt,
                                          const QueryDeadline& deadline);
   Result<QueryResult> ExecuteDropIndex(const sql::Statement& stmt);
+
+  /// The access-path chooser of SELECT, UPDATE and DELETE: an index probe
+  /// for `*predicate` over `table`'s indexes (`exec::PickIndexScan`), which
+  /// then leaves only the residual in `*predicate`; nullopt for a heap scan.
+  std::optional<exec::IndexPick> ChooseAccessPath(
+      const TableInfo* table,
+      std::unique_ptr<exec::BoundExpr>* predicate) const;
 
   /// Synchronous secondary-index maintenance, applied to every index on
   /// `table`. NULL keys are never stored; `Validate` rejects over-size keys

@@ -74,6 +74,18 @@ struct ConjunctMatch {
   Value literal;
 };
 
+/// The value of a literal, or of a unary minus over a numeric literal — the
+/// parser's shape for `-1` — folded by the evaluator itself.
+std::optional<Value> ConstantOf(const BoundExpr& e) {
+  if (e.kind == BoundExprKind::kLiteral) return e.literal;
+  if (e.kind == BoundExprKind::kUnary && e.unary_op == sql::UnaryOp::kNeg &&
+      e.left->kind == BoundExprKind::kLiteral) {
+    Result<Value> v = Eval(e, Tuple(), /*ctx=*/nullptr);
+    if (v.ok()) return std::move(v).value();
+  }
+  return std::nullopt;
+}
+
 std::optional<ConjunctMatch> MatchConjunct(const BoundExpr& e) {
   if (e.kind != BoundExprKind::kBinary) return std::nullopt;
   switch (e.binary_op) {
@@ -86,27 +98,63 @@ std::optional<ConjunctMatch> MatchConjunct(const BoundExpr& e) {
     default:
       return std::nullopt;
   }
-  const BoundExpr* col = nullptr;
-  const BoundExpr* lit = nullptr;
+  const BoundExpr* col = e.left.get();
+  std::optional<Value> lit = ConstantOf(*e.right);
   bool flipped = false;
-  if (e.left->kind == BoundExprKind::kColumn &&
-      e.right->kind == BoundExprKind::kLiteral) {
-    col = e.left.get();
-    lit = e.right.get();
-  } else if (e.left->kind == BoundExprKind::kLiteral &&
-             e.right->kind == BoundExprKind::kColumn) {
+  if (col->kind != BoundExprKind::kColumn || !lit.has_value()) {
     col = e.right.get();
-    lit = e.left.get();
+    lit = ConstantOf(*e.left);
     flipped = true;
-  } else {
+  }
+  if (col->kind != BoundExprKind::kColumn || !lit.has_value() ||
+      lit->is_null()) {
     return std::nullopt;
   }
-  if (lit->literal.is_null()) return std::nullopt;
   ConjunctMatch m;
   m.column = col->column_index;
   m.op = flipped ? MirrorCmp(e.binary_op) : e.binary_op;
-  m.literal = lit->literal;
+  m.literal = std::move(*lit);
   return m;
+}
+
+/// Narrows `*bound` by (`key`, `inclusive`): a lower bound to the larger
+/// key, an upper bound to the smaller; on equal keys the exclusive bound
+/// wins. False when the keys do not compare (the caller keeps that conjunct
+/// as residual).
+bool Narrow(std::optional<BTree::Bound>* bound, const Value& key,
+            bool inclusive, bool lower) {
+  if (!bound->has_value()) {
+    *bound = BTree::Bound{key, inclusive};
+    return true;
+  }
+  Result<int> cmp = key.Compare((*bound)->key);
+  if (!cmp.ok()) return false;
+  if (lower ? *cmp > 0 : *cmp < 0) {
+    *bound = BTree::Bound{key, inclusive};
+  } else if (*cmp == 0 && !inclusive) {
+    (*bound)->inclusive = false;
+  }
+  return true;
+}
+
+/// Merges conjunct `m` into `pick`'s range.
+bool MergeInto(IndexPick* pick, const ConjunctMatch& m) {
+  switch (m.op) {
+    case sql::BinaryOp::kEq:
+      pick->equality = true;
+      return Narrow(&pick->lower, m.literal, true, true) &&
+             Narrow(&pick->upper, m.literal, true, false);
+    case sql::BinaryOp::kLt:
+      return Narrow(&pick->upper, m.literal, false, false);
+    case sql::BinaryOp::kLe:
+      return Narrow(&pick->upper, m.literal, true, false);
+    case sql::BinaryOp::kGt:
+      return Narrow(&pick->lower, m.literal, false, true);
+    case sql::BinaryOp::kGe:
+      return Narrow(&pick->lower, m.literal, true, true);
+    default:
+      return false;
+  }
 }
 
 }  // namespace
@@ -120,108 +168,86 @@ std::optional<IndexPick> PickIndexScan(
   std::vector<BoundExprPtr> conjuncts;
   FlattenAnd(std::move(*where), &conjuncts);
 
-  // Two passes: equality conjuncts beat range conjuncts; writing order
-  // breaks ties.
-  size_t chosen = conjuncts.size();
-  const IndexCandidate* chosen_index = nullptr;
-  ConjunctMatch chosen_match;
-  for (int want_equality = 1; want_equality >= 0 && chosen_index == nullptr;
-       --want_equality) {
-    for (size_t i = 0; i < conjuncts.size(); ++i) {
-      std::optional<ConjunctMatch> m = MatchConjunct(*conjuncts[i]);
-      if (!m.has_value()) continue;
-      const bool is_eq = m->op == sql::BinaryOp::kEq;
-      if (is_eq != (want_equality == 1)) continue;
-      // The literal must match the column's declared type exactly: the
-      // index compares stored keys, and cross-type comparisons (INT column,
-      // DOUBLE literal) have coercion semantics the tree does not model.
-      if (m->column >= schema.num_columns() ||
-          m->literal.type() != schema.column(m->column).type) {
-        continue;
+  // The conjuncts an index can serve. The constant must match the column's
+  // declared type exactly: the index compares stored keys, and cross-type
+  // comparisons (INT column, DOUBLE literal) have coercion semantics the
+  // tree does not model.
+  std::vector<std::optional<ConjunctMatch>> matches(conjuncts.size());
+  std::vector<const IndexCandidate*> indexes(conjuncts.size(), nullptr);
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    std::optional<ConjunctMatch> m = MatchConjunct(*conjuncts[i]);
+    if (!m.has_value() || m->column >= schema.num_columns() ||
+        m->literal.type() != schema.column(m->column).type) {
+      continue;
+    }
+    for (const IndexCandidate& cand : candidates) {
+      if (cand.column == m->column) {
+        matches[i] = std::move(m);
+        indexes[i] = &cand;
+        break;
       }
-      for (const IndexCandidate& cand : candidates) {
-        if (cand.column == m->column) {
-          chosen = i;
-          chosen_index = &cand;
-          chosen_match = std::move(*m);
-          break;
-        }
-      }
-      if (chosen_index != nullptr) break;
     }
   }
 
-  if (chosen_index == nullptr) {
+  // Equality conjuncts beat range conjuncts; writing order breaks ties.
+  const IndexCandidate* chosen = nullptr;
+  for (int want_equality = 1; want_equality >= 0 && chosen == nullptr;
+       --want_equality) {
+    for (size_t i = 0; i < conjuncts.size() && chosen == nullptr; ++i) {
+      if (matches[i].has_value() &&
+          (matches[i]->op == sql::BinaryOp::kEq) == (want_equality == 1)) {
+        chosen = indexes[i];
+      }
+    }
+  }
+  if (chosen == nullptr) {
     *where = FoldAnd(std::move(conjuncts));  // restore, order preserved
     return std::nullopt;
   }
 
+  // Every comparison on the chosen column narrows the one range probed.
   IndexPick pick;
-  pick.root = chosen_index->root;
-  pick.index_name = chosen_index->name;
-  pick.column = chosen_match.column;
-  switch (chosen_match.op) {
-    case sql::BinaryOp::kEq:
-      pick.lower = BTree::Bound{chosen_match.literal, true};
-      pick.upper = BTree::Bound{chosen_match.literal, true};
-      pick.equality = true;
-      break;
-    case sql::BinaryOp::kLt:
-      pick.upper = BTree::Bound{chosen_match.literal, false};
-      break;
-    case sql::BinaryOp::kLe:
-      pick.upper = BTree::Bound{chosen_match.literal, true};
-      break;
-    case sql::BinaryOp::kGt:
-      pick.lower = BTree::Bound{chosen_match.literal, false};
-      break;
-    case sql::BinaryOp::kGe:
-      pick.lower = BTree::Bound{chosen_match.literal, true};
-      break;
-    default:
-      break;
+  pick.root = chosen->root;
+  pick.index_name = chosen->name;
+  pick.column = chosen->column;
+  std::vector<BoundExprPtr> residual;
+  for (size_t i = 0; i < conjuncts.size(); ++i) {
+    if (indexes[i] != chosen || !MergeInto(&pick, *matches[i])) {
+      residual.push_back(std::move(conjuncts[i]));
+    }
   }
-  conjuncts.erase(conjuncts.begin() + chosen);
-  *where = FoldAnd(std::move(conjuncts));
+  *where = FoldAnd(std::move(residual));
   return pick;
 }
 
-IndexScanOp::IndexScanOp(StorageEngine* engine, PageId index_root,
-                         PageId heap_first, Schema schema,
-                         std::optional<BTree::Bound> lower,
-                         std::optional<BTree::Bound> upper, bool equality)
-    : tree_(engine, index_root),
-      heap_(engine, heap_first),
-      schema_(std::move(schema)),
-      lower_(std::move(lower)),
-      upper_(std::move(upper)),
-      equality_(equality) {}
-
-Status IndexScanOp::EnsureProbed() {
-  if (probed_) return Status::OK();
-  probed_ = true;
-  JAGUAR_ASSIGN_OR_RETURN(rids_, tree_.Scan(lower_, upper_));
+Result<std::vector<RecordId>> ProbeIndex(StorageEngine* engine,
+                                         const IndexPick& pick) {
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
+                          BTree(engine, pick.root).Scan(pick.lower, pick.upper));
   ScansCounter()->Add();
-  if (!equality_) RangeScansCounter()->Add();
-  LookupsCounter()->Add(rids_.size());
-  return Status::OK();
+  if (!pick.equality) RangeScansCounter()->Add();
+  LookupsCounter()->Add(rids.size());
+  return rids;
 }
 
+IndexScanOp::IndexScanOp(StorageEngine* engine, IndexPick pick,
+                         PageId heap_first, Schema schema,
+                         const ColumnMask& reads)
+    : pick_(std::move(pick)),
+      heap_(engine, heap_first),
+      schema_(std::move(schema)),
+      spec_(ScanSpec::Make(nullptr, reads)) {}
+
 Result<std::optional<Tuple>> IndexScanOp::Next() {
-  JAGUAR_RETURN_IF_ERROR(EnsureProbed());
-  if (pos_ >= rids_.size()) return std::optional<Tuple>();
-  const RecordId rid = rids_[pos_++];
-  Result<std::vector<uint8_t>> bytes = heap_.Get(rid);
-  if (!bytes.ok()) {
-    // A dangling entry means maintenance and the heap disagree — surface it
-    // as corruption rather than a silent missing row.
-    if (bytes.status().IsNotFound()) {
-      return Corruption("index entry points at a missing heap record");
-    }
-    return bytes.status();
+  if (!scan_.has_value()) {
+    JAGUAR_ASSIGN_OR_RETURN(rids_, ProbeIndex(heap_.engine(), pick_));
+    scan_.emplace(heap_.Fetch(rids_), &spec_, /*ctx=*/nullptr);
   }
-  JAGUAR_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(Slice(*bytes)));
-  return std::optional<Tuple>(std::move(t));
+  row_.clear();
+  JAGUAR_ASSIGN_OR_RETURN(size_t read,
+                          scan_->Read(1, /*batched=*/false, &row_));
+  if (read == 0) return std::optional<Tuple>();
+  return std::make_optional(std::move(row_[0]));
 }
 
 }  // namespace exec

@@ -2,25 +2,30 @@
 #define JAGUAR_EXEC_INDEX_SCAN_H_
 
 /// \file index_scan.h
-/// Index scans and the one planner rule jaguar has.
+/// Index scans and the access-path chooser shared by SELECT, UPDATE and
+/// DELETE.
 ///
-/// `PickIndexScan` looks at a bound WHERE clause's top-level AND chain for a
-/// conjunct of the form `<column> <cmp> <literal>` (either side) where the
-/// column has a B+-tree index and the literal's type matches the column's
-/// exactly. The matched conjunct is *removed* from the predicate — the index
-/// probe guarantees it — and everything else stays behind as the residual
-/// filter, evaluated only on the survivors. That is the paper-motivated win:
-/// an expensive UDF predicate written before the indexable one no longer
-/// runs on every tuple of the relation.
+/// `PickIndexScan` looks at a bound WHERE clause's top-level AND chain for
+/// conjuncts of the form `<column> <cmp> <constant>` (either side) where the
+/// column has a B+-tree index and the constant's type matches the column's
+/// exactly. A constant is a literal or a unary minus over a numeric literal,
+/// folded the way the evaluator negates. It picks one column — the first
+/// equality conjunct's in writing order, else the first range conjunct's —
+/// and merges *every* comparison on that column into one `[lower, upper]`
+/// range (`id >= 5 AND id >= 7 AND id < 9` probes [7, 9)). The merged
+/// conjuncts are *removed* from the predicate — the index probe guarantees
+/// them — and everything else stays behind as the residual filter,
+/// evaluated only on the survivors. That is the paper-motivated win: an
+/// expensive UDF predicate written before the indexable one no longer runs
+/// on every tuple of the relation.
 ///
-/// Equality conjuncts are preferred over range conjuncts; among equals, the
-/// first in writing order wins. Correctness of removing the conjunct relies
-/// on index semantics matching predicate semantics: NULL keys are never
-/// stored (a NULL comparison is unknown → WHERE-false), and bounds compare
-/// with `Value::Compare` exactly like the evaluator.
+/// Correctness of removing the conjuncts relies on index semantics matching
+/// predicate semantics: NULL keys are never stored (a NULL comparison is
+/// unknown → WHERE-false), and bounds compare with `Value::Compare` exactly
+/// like the evaluator.
 ///
-/// Metrics:
-///   exec.index.scans        index-scan operators executed
+/// Metrics (SELECT, UPDATE and DELETE probes alike):
+///   exec.index.scans        index probes executed
 ///   exec.index.range_scans  the subset driven by a range (non-equality)
 ///   exec.index.lookups      record ids produced by index probes
 ///   exec.index.inserts      entries inserted (maintenance + backfill)
@@ -57,19 +62,24 @@ struct IndexPick {
 };
 
 /// Examines `*where` (may be null). On a hit, returns the pick and replaces
-/// `*where` with the residual predicate (null when the indexable conjunct
-/// was the whole clause); on a miss `*where` is unchanged.
+/// `*where` with the residual predicate (null when the indexable conjuncts
+/// were the whole clause); on a miss `*where` is unchanged.
 std::optional<IndexPick> PickIndexScan(
     BoundExprPtr* where, const std::vector<IndexCandidate>& candidates,
     const Schema& schema);
 
+/// Probes `pick`'s index: the record ids in its range, in (key, rid) order.
+Result<std::vector<RecordId>> ProbeIndex(StorageEngine* engine,
+                                         const IndexPick& pick);
+
 /// Probes the B+-tree once on first pull, then streams the matching heap
-/// records in (key, rid) order.
+/// records in (key, rid) order, read in place and decoding only `reads`,
+/// the columns the plan and its residual filter read. A dangling index
+/// entry is Corruption.
 class IndexScanOp : public Operator {
  public:
-  IndexScanOp(StorageEngine* engine, PageId index_root, PageId heap_first,
-              Schema schema, std::optional<BTree::Bound> lower,
-              std::optional<BTree::Bound> upper, bool equality);
+  IndexScanOp(StorageEngine* engine, IndexPick pick, PageId heap_first,
+              Schema schema, const ColumnMask& reads);
 
   /// The base-class NextBatch (a Next() loop) provides the batch protocol;
   /// there are no per-tuple expressions here to vectorize.
@@ -77,17 +87,13 @@ class IndexScanOp : public Operator {
   const Schema& schema() const override { return schema_; }
 
  private:
-  Status EnsureProbed();
-
-  BTree tree_;
+  IndexPick pick_;
   TableHeap heap_;
   Schema schema_;
-  std::optional<BTree::Bound> lower_;
-  std::optional<BTree::Bound> upper_;
-  bool equality_;
-  bool probed_ = false;
+  ScanSpec spec_;
   std::vector<RecordId> rids_;
-  size_t pos_ = 0;
+  std::optional<HeapScan> scan_;  ///< Over `rids_`, from the first pull.
+  std::vector<Tuple> row_;        ///< Scratch for `Next`.
 };
 
 }  // namespace exec

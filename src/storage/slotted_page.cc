@@ -82,8 +82,7 @@ Result<uint16_t> SlottedPage::Insert(Slice record) {
   return slot;
 }
 
-bool SlottedPage::Fits(uint32_t size) const {
-  if (size > MaxRecordSize()) return false;
+int32_t SlottedPage::Room() const {
   // Compaction packs the live cells against the page end, so the room it
   // leaves is everything between the slot directory and the live bytes.
   uint32_t live = 0;
@@ -95,9 +94,10 @@ bool SlottedPage::Fits(uint32_t size) const {
       live += GetU16(SlotOffsetPos(i) + 2);
     }
   }
-  const uint32_t used = kHeaderSize + num_slots() * kSlotSize + live;
-  const uint32_t needed = size + (tombstone ? 0 : kSlotSize);
-  return used <= kPageLsnOffset && kPageLsnOffset - used >= needed;
+  const int64_t room = static_cast<int64_t>(kPageLsnOffset) - kHeaderSize -
+                       num_slots() * kSlotSize - live -
+                       (tombstone ? 0 : kSlotSize);
+  return static_cast<int32_t>(std::max<int64_t>(room, -1));
 }
 
 Result<Slice> SlottedPage::Get(uint16_t slot) const {

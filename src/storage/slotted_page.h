@@ -54,9 +54,16 @@ class SlottedPage {
   Result<uint16_t> Insert(Slice record);
 
   /// True when `Insert` of a `size`-byte record would succeed, compacting
-  /// first if it must. Reads only the header and the slot directory, so a
-  /// full page can be passed over without touching its cells.
-  bool Fits(uint32_t size) const;
+  /// first if it must: `size <= Room()`.
+  bool Fits(uint32_t size) const {
+    return static_cast<int64_t>(size) <= Room();
+  }
+
+  /// The largest record `Insert` accepts, compacting first if it must; -1
+  /// when not even an empty record fits. Reads only the header and the slot
+  /// directory, so a full page can be passed over without touching its
+  /// cells.
+  int32_t Room() const;
 
   /// \return View of the record in `slot`, or NotFound for tombstones /
   /// out-of-range slots.

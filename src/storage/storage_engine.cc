@@ -186,6 +186,18 @@ Result<uint32_t> StorageEngine::CountFreePages() {
   return n;
 }
 
+StorageEngine::HeapDirectoryHandle StorageEngine::LockHeapDirectory(
+    PageId first_page) {
+  std::unique_lock<std::mutex> lock(heap_dirs_mu_);
+  HeapDirectory* dir = &heap_dirs_[first_page];
+  return HeapDirectoryHandle(std::move(lock), dir);
+}
+
+void StorageEngine::DropHeapDirectory(PageId first_page) {
+  std::lock_guard<std::mutex> lock(heap_dirs_mu_);
+  heap_dirs_.erase(first_page);
+}
+
 Status StorageEngine::WalCommit() {
   if (wal_ == nullptr) return Status::OK();
   JAGUAR_RETURN_IF_ERROR(wal_->Commit());

@@ -14,11 +14,15 @@
 /// See DESIGN.md "Durability & recovery".
 
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "common/status.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/heap_directory.h"
 #include "storage/page.h"
 #include "wal/log_manager.h"
 
@@ -73,6 +77,31 @@ class StorageEngine {
   /// What redo did during Open (zeroed when there was nothing to replay).
   const wal::RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
+  /// A heap's directory (heap_directory.h), held locked for the handle's
+  /// life. One lock covers every directory, so statements on different
+  /// heaps and a morsel planner never see one half-updated; writes to one
+  /// heap are serialized by the caller, as its pages' are.
+  class HeapDirectoryHandle {
+   public:
+    HeapDirectory* operator->() const { return dir_; }
+    HeapDirectory* get() const { return dir_; }
+
+   private:
+    friend class StorageEngine;
+    HeapDirectoryHandle(std::unique_lock<std::mutex> lock, HeapDirectory* dir)
+        : lock_(std::move(lock)), dir_(dir) {}
+    std::unique_lock<std::mutex> lock_;
+    HeapDirectory* dir_;
+  };
+
+  /// Locks the directory of the heap whose first page is `first_page`,
+  /// creating it unbuilt on first use.
+  HeapDirectoryHandle LockHeapDirectory(PageId first_page);
+
+  /// Forgets the directory of the heap whose first page is `first_page`.
+  /// Must not be called while holding a handle.
+  void DropHeapDirectory(PageId first_page);
+
  private:
   StorageEngine() = default;
 
@@ -86,6 +115,8 @@ class StorageEngine {
   std::unique_ptr<wal::LogManager> wal_;
   std::unique_ptr<BufferPool> pool_;
   wal::RecoveryStats recovery_stats_;
+  std::mutex heap_dirs_mu_;
+  std::unordered_map<PageId, HeapDirectory> heap_dirs_;
 };
 
 }  // namespace jaguar

@@ -41,6 +41,8 @@ TableHeap::TableHeap(StorageEngine* engine, PageId first_page)
 
 Result<PageId> TableHeap::Create(StorageEngine* engine) {
   JAGUAR_ASSIGN_OR_RETURN(PageId id, engine->AllocatePage());
+  // The page may have been the first page of a dropped heap.
+  engine->DropHeapDirectory(id);
   JAGUAR_ASSIGN_OR_RETURN(PageGuard page, engine->buffer_pool()->FetchPage(id));
   WalPageEdit edit(engine->wal(), &page);
   SlottedPage sp(page.data());
@@ -64,68 +66,85 @@ Result<RecordId> TableHeap::Insert(Slice record) {
     stub.PutBytes(record);
   }
   Slice payload = stub.AsSlice();
+  StorageEngine::HeapDirectoryHandle dir =
+      engine_->LockHeapDirectory(first_page_);
+  Result<RecordId> rid = Append(dir.get(), payload);
+  // A failed edit may leave the chain out of step with the directory.
+  if (!rid.ok()) dir->Clear();
+  return rid;
+}
 
-  // Append into the last page of the chain, extending the chain when full.
-  // The record carrying the new tuple is the *last* one the statement logs
-  // (chain links and page formats precede it), so a replay that stops early
-  // yields a well-formed heap without the tuple — never a torn tuple.
-  PageId pid = last_page_hint_;
-  while (true) {
+Status TableHeap::BuildDirectory(HeapDirectory* dir) {
+  if (dir->built) return Status::OK();
+  HeapDirectory fresh;
+  for (PageId pid = first_page_; pid != kInvalidPageId;) {
+    if (fresh.Find(pid) != HeapDirectory::kNone) {
+      return Corruption("page chain cycle");
+    }
     JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
                             engine_->buffer_pool()->FetchPage(pid));
     SlottedPage sp(page.data());
-    // A page the record cannot fit even after compaction is passed over
-    // without snapshotting, compacting or logging it: an append walks the
-    // whole chain, and this keeps each full page to a slot-directory read.
-    // The payload never exceeds MaxRecordSize (larger records went to
-    // overflow pages above), so a fresh page always fits it.
-    if (sp.Fits(static_cast<uint32_t>(payload.size()))) {
-      WalPageEdit edit(engine_->wal(), &page);
-      // Insert refuses only what Fits refuses, before touching the page.
-      JAGUAR_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(payload));
-      JAGUAR_RETURN_IF_ERROR(edit.Commit());
-      last_page_hint_ = pid;
-      return RecordId{pid, slot};
-    }
-    PageId next = sp.next_page_id();
-    if (next == kInvalidPageId) {
-      JAGUAR_ASSIGN_OR_RETURN(PageId fresh, engine_->AllocatePage());
-      {
-        JAGUAR_ASSIGN_OR_RETURN(PageGuard fresh_page,
-                                engine_->buffer_pool()->FetchPage(fresh));
-        WalPageEdit fresh_edit(engine_->wal(), &fresh_page);
-        SlottedPage fresh_sp(fresh_page.data());
-        fresh_sp.Init();
-        JAGUAR_RETURN_IF_ERROR(fresh_edit.Commit());
-      }
-      WalPageEdit link(engine_->wal(), &page);
-      sp.set_next_page_id(fresh);
-      JAGUAR_RETURN_IF_ERROR(link.Commit());
-      next = fresh;
-    }
-    pid = next;
+    fresh.Append(pid, sp.Room());
+    pid = sp.next_page_id();
   }
+  fresh.built = true;
+  *dir = std::move(fresh);
+  return Status::OK();
 }
 
-Result<std::vector<uint8_t>> TableHeap::Get(RecordId rid) {
+Result<RecordId> TableHeap::Append(HeapDirectory* dir, Slice payload) {
+  JAGUAR_RETURN_IF_ERROR(BuildDirectory(dir));
+  const uint32_t size = static_cast<uint32_t>(payload.size());
+  // Take the page a walk of the chain from the hint would stop at: the
+  // first whose room admits the record. The payload never exceeds
+  // MaxRecordSize (larger records went to overflow pages above), so a
+  // fresh page always has room for it.
+  const size_t start = dir->Find(last_page_hint_);
+  if (start == HeapDirectory::kNone) {
+    return Internal("append hint is not a chain page");
+  }
+  const size_t pos = dir->FirstFit(start, size);
+  // The record carrying the new tuple is the *last* one the statement logs
+  // (chain links and page formats precede it), so a replay that stops early
+  // yields a well-formed heap without the tuple — never a torn tuple.
+  if (pos == dir->pages.size()) {
+    JAGUAR_ASSIGN_OR_RETURN(PageGuard tail, engine_->buffer_pool()->FetchPage(
+                                                dir->pages.back()));
+    SlottedPage tail_sp(tail.data());
+    if (tail_sp.next_page_id() != kInvalidPageId) {
+      return Internal("heap directory does not end at the chain's tail");
+    }
+    JAGUAR_ASSIGN_OR_RETURN(PageId fresh, engine_->AllocatePage());
+    int32_t fresh_room;
+    {
+      JAGUAR_ASSIGN_OR_RETURN(PageGuard fresh_page,
+                              engine_->buffer_pool()->FetchPage(fresh));
+      WalPageEdit fresh_edit(engine_->wal(), &fresh_page);
+      SlottedPage fresh_sp(fresh_page.data());
+      fresh_sp.Init();
+      JAGUAR_RETURN_IF_ERROR(fresh_edit.Commit());
+      fresh_room = fresh_sp.Room();
+    }
+    WalPageEdit link(engine_->wal(), &tail);
+    tail_sp.set_next_page_id(fresh);
+    JAGUAR_RETURN_IF_ERROR(link.Commit());
+    dir->Append(fresh, fresh_room);
+  }
+  const PageId pid = dir->pages[pos];
   JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
-                          engine_->buffer_pool()->FetchPage(rid.page_id));
+                          engine_->buffer_pool()->FetchPage(pid));
   SlottedPage sp(page.data());
-  JAGUAR_ASSIGN_OR_RETURN(Slice payload, sp.Get(rid.slot));
-  if (payload.empty()) return Corruption("empty record payload");
-  if (payload[0] == kInlineTag) {
-    return payload.SubSlice(1, payload.size() - 1).ToVector();
+  if (!sp.Fits(size)) {
+    return Internal(StringPrintf("heap directory out of step with page %u",
+                                 pid));
   }
-  if (payload[0] != kOverflowTag || payload.size() != kOverflowStubSize) {
-    return Corruption("bad record tag");
-  }
-  uint64_t total_len = LoadU64(payload.data() + 1);
-  PageId first = LoadU32(payload.data() + 9);
-  page.Release();  // don't hold the pin while walking the overflow chain
-  std::vector<uint8_t> out;
-  out.reserve(std::min<uint64_t>(total_len, kMaxReserve));
-  JAGUAR_RETURN_IF_ERROR(WalkOverflow(first, 0, total_len, &out));
-  return out;
+  WalPageEdit edit(engine_->wal(), &page);
+  // Insert refuses only what Fits refuses, before touching the page.
+  JAGUAR_ASSIGN_OR_RETURN(uint16_t slot, sp.Insert(payload));
+  JAGUAR_RETURN_IF_ERROR(edit.Commit());
+  dir->room[pos] = sp.Room();
+  last_page_hint_ = pid;
+  return RecordId{pid, slot};
 }
 
 Result<PageId> TableHeap::WriteOverflow(Slice payload) {
@@ -208,17 +227,31 @@ Status TableHeap::FreeOverflow(PageId first) {
 Status TableHeap::Delete(RecordId rid) {
   PageId overflow_first = kInvalidPageId;
   {
-    JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
-                            engine_->buffer_pool()->FetchPage(rid.page_id));
-    WalPageEdit edit(engine_->wal(), &page);
-    SlottedPage sp(page.data());
-    JAGUAR_ASSIGN_OR_RETURN(Slice payload, sp.Get(rid.slot));
-    if (!payload.empty() && payload[0] == kOverflowTag &&
-        payload.size() == kOverflowStubSize) {
-      overflow_first = LoadU32(payload.data() + 9);
+    StorageEngine::HeapDirectoryHandle dir =
+        engine_->LockHeapDirectory(first_page_);
+    const size_t pos = dir->Find(rid.page_id);
+    if (dir->built && pos == HeapDirectory::kNone) {
+      return NotFound("record id names no page of this heap");
     }
-    JAGUAR_RETURN_IF_ERROR(sp.Delete(rid.slot));
-    JAGUAR_RETURN_IF_ERROR(edit.Commit());
+    Result<int32_t> room = [&]() -> Result<int32_t> {
+      JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
+                              engine_->buffer_pool()->FetchPage(rid.page_id));
+      WalPageEdit edit(engine_->wal(), &page);
+      SlottedPage sp(page.data());
+      JAGUAR_ASSIGN_OR_RETURN(Slice payload, sp.Get(rid.slot));
+      if (!payload.empty() && payload[0] == kOverflowTag &&
+          payload.size() == kOverflowStubSize) {
+        overflow_first = LoadU32(payload.data() + 9);
+      }
+      JAGUAR_RETURN_IF_ERROR(sp.Delete(rid.slot));
+      JAGUAR_RETURN_IF_ERROR(edit.Commit());
+      return sp.Room();
+    }();
+    if (!room.ok()) {
+      dir->Clear();
+      return room.status();
+    }
+    if (dir->built) dir->room[pos] = *room;
   }
   if (overflow_first != kInvalidPageId) {
     JAGUAR_RETURN_IF_ERROR(FreeOverflow(overflow_first));
@@ -227,6 +260,7 @@ Status TableHeap::Delete(RecordId rid) {
 }
 
 Status TableHeap::DropAll() {
+  engine_->DropHeapDirectory(first_page_);
   PageId pid = first_page_;
   while (pid != kInvalidPageId) {
     PageId next;
@@ -269,6 +303,7 @@ Result<uint64_t> TableHeap::CountRecords() {
 Result<const TableHeap::Iterator::RecordView*> TableHeap::Iterator::Advance(
     bool reassemble) {
   chunk_guard_.Release();  // leaving the previous record
+  if (rids_ != nullptr) return AdvanceListed(reassemble);
   BufferPool* pool = heap_->engine_->buffer_pool();
   while (page_ != kInvalidPageId) {
     if (!page_guard_.valid()) {
@@ -305,6 +340,30 @@ Result<const TableHeap::Iterator::RecordView*> TableHeap::Iterator::Advance(
     page_guard_.Release();
   }
   return nullptr;
+}
+
+Result<const TableHeap::Iterator::RecordView*>
+TableHeap::Iterator::AdvanceListed(bool reassemble) {
+  if (pos_ >= end_) {
+    page_guard_.Release();
+    return nullptr;
+  }
+  const RecordId rid = rids_[pos_++];
+  // A run of records on one page shares its pin.
+  if (!page_guard_.valid() || page_ != rid.page_id) {
+    page_guard_.Release();
+    page_ = rid.page_id;
+    JAGUAR_ASSIGN_OR_RETURN(page_guard_,
+                            heap_->engine_->buffer_pool()->FetchPage(page_));
+  }
+  Result<Slice> payload = SlottedPage(page_guard_.data()).Get(rid.slot);
+  if (!payload.ok()) {
+    // Whoever listed the record (an index) disagrees with the heap.
+    return Corruption(StringPrintf("listed record (%u, %u) is not live",
+                                   rid.page_id, rid.slot));
+  }
+  JAGUAR_RETURN_IF_ERROR(ReadRecord(rid, *payload, reassemble));
+  return &view_;
 }
 
 Status TableHeap::Iterator::ReadRecord(RecordId rid, Slice payload,
@@ -374,17 +433,35 @@ TableHeap::Iterator::Next() {
 }
 
 Result<std::vector<PageId>> TableHeap::ListPages() {
-  std::vector<PageId> pages;
-  PageId pid = first_page_;
-  while (pid != kInvalidPageId) {
-    pages.push_back(pid);
-    JAGUAR_ASSIGN_OR_RETURN(PageGuard page,
-                            engine_->buffer_pool()->FetchPage(pid));
-    SlottedPage sp(page.data());
-    pid = sp.next_page_id();
-    if (pages.size() > (1u << 24)) return Corruption("page chain cycle");
+  StorageEngine::HeapDirectoryHandle dir =
+      engine_->LockHeapDirectory(first_page_);
+  JAGUAR_RETURN_IF_ERROR(BuildDirectory(dir.get()));
+  return dir->pages;
+}
+
+Status TableHeap::OrderByChain(std::vector<RecordId>* rids) {
+  std::vector<std::pair<size_t, RecordId>> keyed;
+  keyed.reserve(rids->size());
+  {
+    StorageEngine::HeapDirectoryHandle dir =
+        engine_->LockHeapDirectory(first_page_);
+    JAGUAR_RETURN_IF_ERROR(BuildDirectory(dir.get()));
+    for (const RecordId& rid : *rids) {
+      const size_t pos = dir->Find(rid.page_id);
+      if (pos == HeapDirectory::kNone) {
+        return Corruption(StringPrintf(
+            "listed record (%u, %u) names no page of this heap", rid.page_id,
+            rid.slot));
+      }
+      keyed.emplace_back(pos, rid);
+    }
   }
-  return pages;
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first
+                              : a.second.slot < b.second.slot;
+  });
+  for (size_t i = 0; i < keyed.size(); ++i) (*rids)[i] = keyed[i].second;
+  return Status::OK();
 }
 
 }  // namespace jaguar

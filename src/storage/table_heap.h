@@ -35,11 +35,12 @@ class TableHeap {
   PageId first_page() const { return first_page_; }
   StorageEngine* engine() const { return engine_; }
 
-  /// Appends a record; returns its id.
+  /// Appends a record; returns its id. The record goes to the first chain
+  /// page, from the one this heap's previous insert went to (the chain
+  /// head for a fresh TableHeap), whose room admits it; the chain grows by
+  /// a page when none does. The heap directory (heap_directory.h) names
+  /// that page, so only it is read.
   Result<RecordId> Insert(Slice record);
-
-  /// Reads the full record bytes (reassembling overflow chains).
-  Result<std::vector<uint8_t>> Get(RecordId rid);
 
   /// Deletes a record, freeing any overflow pages.
   Status Delete(RecordId rid);
@@ -47,6 +48,10 @@ class TableHeap {
   /// Frees every page belonging to this heap (data, chain and overflow).
   /// The TableHeap must not be used afterwards.
   Status DropAll();
+
+  /// Sorts `rids` into scan order: chain page, then slot. Corruption when
+  /// one names a page outside the chain.
+  Status OrderByChain(std::vector<RecordId>* rids);
 
   /// Number of live records (scans; test/debug use).
   Result<uint64_t> CountRecords();
@@ -100,13 +105,19 @@ class TableHeap {
           pages_(pages),
           pos_(pos),
           end_(end) {}
+    /// Reads the listed records `rids[0, n)`.
+    Iterator(TableHeap* heap, const RecordId* rids, size_t n)
+        : heap_(heap), page_(kInvalidPageId), rids_(rids), end_(n) {}
 
+    /// `Advance` over a record list.
+    Result<const RecordView*> AdvanceListed(bool reassemble);
     /// Points the view at the record whose slot payload is `payload`.
     Status ReadRecord(RecordId rid, Slice payload, bool reassemble);
 
     TableHeap* heap_;
     PageId page_;  ///< Chain page being read; invalid at end of scan.
     const PageId* pages_ = nullptr;  ///< Page list; null = chain links.
+    const RecordId* rids_ = nullptr;  ///< Record list, if that is the mode.
     size_t pos_ = 0;
     size_t end_ = 0;
     uint16_t slot_ = 0;
@@ -129,11 +140,24 @@ class TableHeap {
     return Iterator(this, pages.data(), begin, end);
   }
 
+  /// Cursor over the listed records, in list order — the heap fetches of
+  /// an index scan. A page is pinned once for a run of records on it, and
+  /// the pin rule and overflow checks are the scan's. A listed record that
+  /// is not live is Corruption. `rids` must outlive the cursor.
+  Iterator Fetch(const std::vector<RecordId>& rids) {
+    return Iterator(this, rids.data(), rids.size());
+  }
+
   /// The heap's chain pages in scan order — the morsel source for parallel
-  /// scans. Overflow pages are not listed (records reassemble them on read).
+  /// scans — read from the heap directory. Overflow pages are not listed
+  /// (records reassemble them on read).
   Result<std::vector<PageId>> ListPages();
 
  private:
+  /// Fills an unbuilt `dir` with one walk of the chain.
+  Status BuildDirectory(HeapDirectory* dir);
+  /// `Insert` of a slot payload, under the directory lock.
+  Result<RecordId> Append(HeapDirectory* dir, Slice payload);
   /// Walks an overflow chain from `page`, checking each chunk size and,
   /// at the end, that the chunks add up to `total_len` with `seen` bytes
   /// already counted. Appends the chunks to `out` when it is non-null.
@@ -144,7 +168,8 @@ class TableHeap {
 
   StorageEngine* engine_;
   PageId first_page_;
-  PageId last_page_hint_;  // cached append target; validated on use
+  /// Page the previous insert went to: where the next one starts looking.
+  PageId last_page_hint_;
 };
 
 }  // namespace jaguar

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/buffer_pool.h"
@@ -19,17 +22,23 @@
 namespace jaguar {
 namespace {
 
-/// Creates a unique temp db path and removes it on destruction.
+/// Creates a unique temp db path and removes it, with its log, on
+/// destruction.
 class TempDb {
  public:
   explicit TempDb(const std::string& tag) {
     path_ = (std::filesystem::temp_directory_path() /
              ("jaguar_test_" + tag + "_" + std::to_string(::getpid()) + ".db"))
                 .string();
-    std::remove(path_.c_str());
+    Remove();
   }
-  ~TempDb() { std::remove(path_.c_str()); }
+  ~TempDb() { Remove(); }
   const std::string& path() const { return path_; }
+  void Remove() const {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
+    std::remove((path_ + ".wal.tmp").c_str());
+  }
 
  private:
   std::string path_;
@@ -210,6 +219,43 @@ TEST_P(SlottedPageFuzzTest, MatchesShadowModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlottedPageFuzzTest, ::testing::Range(0, 10));
+
+// `Room()` is exact: over random page states, a record of exactly that
+// many bytes goes in (compacting if it must) and one byte more is refused.
+TEST(SlottedPageTest, RoomIsTheLargestRecordInsertAccepts) {
+  Random rng(77);
+  std::vector<uint8_t> buf(kPageSize);
+  SlottedPage sp(buf.data());
+  sp.Init();
+  std::vector<uint16_t> live;
+  for (int step = 0; step < 400; ++step) {
+    if (live.empty() || rng.Bernoulli(0.6)) {
+      Result<uint16_t> s = sp.Insert(Slice(rng.AlphaString(rng.Uniform(400))));
+      if (s.ok()) live.push_back(*s);
+    } else {
+      const size_t i = rng.Uniform(live.size());
+      ASSERT_TRUE(sp.Delete(live[i]).ok());
+      live[i] = live.back();
+      live.pop_back();
+    }
+    const int32_t room = sp.Room();
+    ASSERT_GE(room, -1);
+    std::vector<uint8_t> copy = buf;
+    SlottedPage probe(copy.data());
+    EXPECT_TRUE(
+        probe.Insert(Slice(std::string(static_cast<size_t>(room + 1), 'x')))
+            .status()
+            .IsResourceExhausted() ||
+        static_cast<uint32_t>(room + 1) > SlottedPage::MaxRecordSize())
+        << "step " << step;
+    if (room >= 0) {
+      ASSERT_TRUE(probe.Insert(Slice(std::string(room, 'y'))).ok())
+          << "step " << step;
+      ASSERT_TRUE(probe.CheckInvariants().ok()) << "step " << step;
+      EXPECT_LT(probe.Room(), 1) << "step " << step;
+    }
+  }
+}
 
 TEST(BufferPoolTest, FetchCachesPages) {
   TempDb db("pool");
@@ -719,6 +765,15 @@ TEST(StorageEngineTest, CannotFreeHeaderOrInvalidPages) {
   EXPECT_TRUE(engine->FreePage(999).IsInvalidArgument());
 }
 
+/// Reads the whole record `rid` through the heap's record-list cursor.
+Result<std::vector<uint8_t>> ReadRecord(TableHeap* heap, RecordId rid) {
+  const std::vector<RecordId> rids = {rid};
+  TableHeap::Iterator it = heap->Fetch(rids);
+  auto rec = it.Next();
+  if (!rec.ok()) return rec.status();
+  return std::move((*rec)->second);
+}
+
 TEST(TableHeapTest, InsertGetDeleteSmallRecords) {
   TempDb db("heap");
   auto engine = StorageEngine::Open(db.path()).value();
@@ -727,11 +782,12 @@ TEST(TableHeapTest, InsertGetDeleteSmallRecords) {
 
   RecordId r0 = heap.Insert(Slice("alpha")).value();
   RecordId r1 = heap.Insert(Slice("beta")).value();
-  EXPECT_EQ(Slice(heap.Get(r0).value()).ToString(), "alpha");
-  EXPECT_EQ(Slice(heap.Get(r1).value()).ToString(), "beta");
+  EXPECT_EQ(Slice(ReadRecord(&heap, r0).value()).ToString(), "alpha");
+  EXPECT_EQ(Slice(ReadRecord(&heap, r1).value()).ToString(), "beta");
 
   ASSERT_TRUE(heap.Delete(r0).ok());
-  EXPECT_TRUE(heap.Get(r0).status().IsNotFound());
+  // A deleted record read by id is a dangling reference.
+  EXPECT_TRUE(ReadRecord(&heap, r0).status().IsCorruption());
   EXPECT_EQ(heap.CountRecords().value(), 1u);
 }
 
@@ -748,7 +804,7 @@ TEST(TableHeapTest, SpansManyPages) {
   EXPECT_GT(engine->disk()->num_pages(), 10u);
   for (int i = 0; i < 2000; i += 97) {
     std::string want = "record-" + std::to_string(i) + std::string(50, '.');
-    EXPECT_EQ(Slice(heap.Get(rids[i]).value()).ToString(), want);
+    EXPECT_EQ(Slice(ReadRecord(&heap, rids[i]).value()).ToString(), want);
   }
   EXPECT_EQ(heap.CountRecords().value(), 2000u);
 }
@@ -767,16 +823,16 @@ TEST(TableHeapTest, OverflowRecordsRoundTrip) {
   RecordId r_big = heap.Insert(Slice(big)).value();
   RecordId r_bigger = heap.Insert(Slice(bigger)).value();
 
-  EXPECT_EQ(heap.Get(r_big).value(), big);
-  EXPECT_EQ(heap.Get(r_bigger).value(), bigger);
-  EXPECT_EQ(Slice(heap.Get(r_small).value()).ToString(), "tiny");
+  EXPECT_EQ(ReadRecord(&heap, r_big).value(), big);
+  EXPECT_EQ(ReadRecord(&heap, r_bigger).value(), bigger);
+  EXPECT_EQ(Slice(ReadRecord(&heap, r_small).value()).ToString(), "tiny");
 
   // Deleting an overflow record frees its chain pages.
   uint32_t free_before = engine->CountFreePages().value();
   ASSERT_TRUE(heap.Delete(r_bigger).ok());
   EXPECT_GT(engine->CountFreePages().value(), free_before + 10);
-  EXPECT_TRUE(heap.Get(r_bigger).status().IsNotFound());
-  EXPECT_EQ(heap.Get(r_big).value(), big);
+  EXPECT_TRUE(ReadRecord(&heap, r_bigger).status().IsCorruption());
+  EXPECT_EQ(ReadRecord(&heap, r_big).value(), big);
 }
 
 TEST(TableHeapTest, ScanVisitsExactlyLiveRecords) {
@@ -849,6 +905,208 @@ TEST(TableHeapTest, NoPinsLeakAfterOperations) {
     ASSERT_TRUE(heap.Insert(Slice(Random(i).Bytes(i * 200))).ok());
   }
   ASSERT_TRUE(heap.CountRecords().ok());
+  EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Heap directory: an insert reads only the page a chain walk would pick.
+// ---------------------------------------------------------------------------
+
+/// Slot payload of a `len`-byte record (table_heap.h): a tag byte and the
+/// record, or a 13-byte stub pointing at an overflow chain.
+uint32_t PayloadSize(size_t len) {
+  return len + 1 > SlottedPage::MaxRecordSize()
+             ? 13u
+             : static_cast<uint32_t>(len + 1);
+}
+
+/// The chain's pages, read by following its links.
+std::vector<PageId> WalkChain(StorageEngine* engine, PageId first) {
+  std::vector<PageId> pages;
+  for (PageId pid = first; pid != kInvalidPageId;) {
+    pages.push_back(pid);
+    PageGuard page = engine->buffer_pool()->FetchPage(pid).value();
+    pid = SlottedPage(page.data()).next_page_id();
+  }
+  return pages;
+}
+
+/// The page a walk of the chain from `start` stops at for a `payload`-byte
+/// slot payload; kInvalidPageId when none has room and the chain grows.
+PageId WalkPick(StorageEngine* engine, PageId start, uint32_t payload) {
+  for (PageId pid = start; pid != kInvalidPageId;) {
+    PageGuard page = engine->buffer_pool()->FetchPage(pid).value();
+    SlottedPage sp(page.data());
+    if (sp.Fits(payload)) return pid;
+    pid = sp.next_page_id();
+  }
+  return kInvalidPageId;
+}
+
+/// Inline records of a few bytes, 1-4 KB records, and overflow records.
+size_t RecordLen(Random* rng) {
+  switch (rng->Uniform(3)) {
+    case 0:
+      return 1 + rng->Uniform(200);
+    case 1:
+      return 1000 + rng->Uniform(3097);
+    default:
+      return 9000 + rng->Uniform(11000);
+  }
+}
+
+/// One heap under seeded statements. Each statement is one TableHeap: a
+/// single-row insert, a multi-row insert, or a few deletes. Before every
+/// insert the expected landing page is predicted by walking the chain from
+/// where the statement's previous row went (its first row: the chain head).
+class HeapWorkload {
+ public:
+  explicit HeapWorkload(uint64_t seed) : rng_(seed) {}
+
+  void set_first(PageId first) {
+    first_ = first;
+    live_.clear();
+  }
+  PageId first() const { return first_; }
+
+  void Run(StorageEngine* engine, int statements) {
+    for (int s = 0; s < statements; ++s) {
+      TableHeap heap(engine, first_);
+      const uint64_t kind = rng_.Uniform(4);
+      if (kind == 0 && !live_.empty()) {
+        const uint64_t deletes = 1 + rng_.Uniform(4);
+        for (uint64_t d = 0; d < deletes && !live_.empty(); ++d) {
+          const size_t i = rng_.Uniform(live_.size());
+          ASSERT_TRUE(heap.Delete(live_[i]).ok());
+          live_[i] = live_.back();
+          live_.pop_back();
+        }
+        continue;
+      }
+      const uint64_t rows = kind == 1 ? 2 + rng_.Uniform(7) : 1;
+      PageId hint = first_;
+      for (uint64_t r = 0; r < rows; ++r) {
+        const size_t len = RecordLen(&rng_);
+        const std::vector<PageId> chain = WalkChain(engine, first_);
+        const PageId want = WalkPick(engine, hint, PayloadSize(len));
+        Result<RecordId> rid = heap.Insert(Slice(rng_.Bytes(len)));
+        ASSERT_TRUE(rid.ok()) << rid.status();
+        if (want == kInvalidPageId) {
+          // The chain grew by the page the record went to.
+          EXPECT_EQ(std::count(chain.begin(), chain.end(), rid->page_id), 0);
+          EXPECT_EQ(WalkChain(engine, first_).back(), rid->page_id);
+        } else {
+          EXPECT_EQ(rid->page_id, want) << "statement " << s << " row " << r;
+        }
+        hint = rid->page_id;
+        live_.push_back(*rid);
+      }
+    }
+    TableHeap heap(engine, first_);
+    EXPECT_EQ(heap.ListPages().value(), WalkChain(engine, first_));
+    EXPECT_EQ(heap.CountRecords().value(), live_.size());
+  }
+
+ private:
+  Random rng_;
+  PageId first_ = kInvalidPageId;
+  std::vector<RecordId> live_;
+};
+
+class HeapDirectoryTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(HeapDirectoryTest, InsertLandsWhereAChainWalkWould) {
+  const std::string scenario = GetParam();
+  TempDb db("dir_" + scenario);
+  TempDb image("dir_image_" + scenario);
+  constexpr size_t kPoolPages = 64;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    HeapWorkload work(seed);
+    auto engine = StorageEngine::Open(db.path(), kPoolPages).value();
+    work.set_first(TableHeap::Create(engine.get()).value());
+    ASSERT_NO_FATAL_FAILURE(work.Run(engine.get(), 60));
+
+    if (scenario == "Reopen") {
+      ASSERT_TRUE(engine->Close().ok());
+      engine = StorageEngine::Open(db.path(), kPoolPages).value();
+    } else if (scenario == "CrashImage") {
+      // The log is durable but the pages are dirty only in the pool: the
+      // copied files are a crash image that recovery must redo.
+      ASSERT_TRUE(engine->WalCommit().ok());
+      std::filesystem::copy_file(
+          db.path(), image.path(),
+          std::filesystem::copy_options::overwrite_existing);
+      std::filesystem::copy_file(
+          db.path() + ".wal", image.path() + ".wal",
+          std::filesystem::copy_options::overwrite_existing);
+      ASSERT_TRUE(engine->Close().ok());
+      engine = StorageEngine::Open(image.path(), kPoolPages).value();
+      EXPECT_GE(engine->recovery_stats().pages_replayed, 1u);
+    } else {
+      // Drop the heap, then create heaps until one starts on its freed
+      // first page: the directory of the dropped heap must not come back.
+      const PageId old_first = work.first();
+      ASSERT_TRUE(TableHeap(engine.get(), old_first).DropAll().ok());
+      PageId fresh = kInvalidPageId;
+      for (int i = 0; i < 10000 && fresh != old_first; ++i) {
+        fresh = TableHeap::Create(engine.get()).value();
+      }
+      ASSERT_EQ(fresh, old_first);
+      work.set_first(fresh);
+    }
+    ASSERT_NO_FATAL_FAILURE(work.Run(engine.get(), 60));
+    EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
+    ASSERT_TRUE(engine->Close().ok());
+    engine.reset();
+    db.Remove();
+    image.Remove();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, HeapDirectoryTest,
+                         ::testing::Values("Reopen", "CrashImage",
+                                           "DropAndRecreate"),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
+
+TEST(HeapDirectoryTest, FailedInsertLeavesTheNextOnTheWalksPage) {
+  TempDb db("dir_fail");
+  constexpr size_t kPoolPages = 8;
+  auto engine = StorageEngine::Open(db.path(), kPoolPages).value();
+  const PageId first = TableHeap::Create(engine.get()).value();
+  TableHeap heap(engine.get(), first);
+  // Ten pages, each holding one 5 KB record: no page has room for another.
+  const std::vector<uint8_t> big(5000, 0xAB);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(heap.Insert(Slice(big)).ok());
+  std::vector<PageId> chain = WalkChain(engine.get(), first);
+  ASSERT_EQ(chain.size(), 10u);
+
+  {
+    // Pin every frame, the header page and the chain's tail among them, so
+    // growing the chain cannot allocate its page.
+    std::vector<PageGuard> pins;
+    pins.push_back(engine->buffer_pool()->FetchPage(0).value());
+    pins.push_back(engine->buffer_pool()->FetchPage(chain.back()).value());
+    for (size_t i = 0; pins.size() < kPoolPages; ++i) {
+      pins.push_back(engine->buffer_pool()->FetchPage(chain[i]).value());
+    }
+    Result<RecordId> failed = heap.Insert(Slice(big));
+    EXPECT_TRUE(failed.status().IsResourceExhausted()) << failed.status();
+  }
+  EXPECT_EQ(WalkChain(engine.get(), first), chain);
+
+  // The next inserts land where a fresh walk puts them: a new tail page for
+  // the big record, then the first page with room for a small one.
+  const PageId want_small = WalkPick(engine.get(), first, PayloadSize(100));
+  RecordId grown = heap.Insert(Slice(big)).value();
+  EXPECT_EQ(std::count(chain.begin(), chain.end(), grown.page_id), 0);
+  EXPECT_EQ(WalkChain(engine.get(), first).back(), grown.page_id);
+  TableHeap next_statement(engine.get(), first);
+  RecordId small = next_statement.Insert(Slice(std::vector<uint8_t>(100))).value();
+  EXPECT_EQ(small.page_id, want_small);
+  EXPECT_EQ(heap.ListPages().value(), WalkChain(engine.get(), first));
   EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
 }
 
