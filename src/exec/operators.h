@@ -68,8 +68,8 @@ struct ScanSpec {
 };
 
 /// The one heap-scan record loop, shared by the serial `SeqScanOp`, the
-/// morsel workers and the engine's DELETE, UPDATE, index builds and LOB
-/// handle index. It
+/// morsel workers, `IndexScanOp` and the engine's DELETE, UPDATE, index
+/// builds and LOB store. It
 /// reads records in place through the storage cursor, decodes the
 /// predicate's columns, evaluates the predicate, and decodes the plan's
 /// other columns only for the rows that pass. An overflow record is
