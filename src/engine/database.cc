@@ -8,9 +8,9 @@
 #include "exec/expression.h"
 #include "exec/index_scan.h"
 #include "exec/operators.h"
-#include "index/btree.h"
 #include "exec/parallel.h"
 #include "exec/sort.h"
+#include "index/btree.h"
 #include "sql/parser.h"
 #include "udf/builtins.h"
 #include "udf/isolated_udf_runner.h"
@@ -52,12 +52,10 @@ Status CollectRows(TableHeap* heap, const Schema& schema,
   for (size_t i = 0; i < schema.num_columns(); ++i) every.Add(i);
   const exec::ScanSpec spec = exec::ScanSpec::Make(predicate, every);
   std::vector<RecordId> listed;
-  TableHeap::Iterator cursor = heap->Scan();
-  if (pick.has_value()) {
-    JAGUAR_ASSIGN_OR_RETURN(listed, exec::ProbeIndex(heap->engine(), *pick));
-    JAGUAR_RETURN_IF_ERROR(heap->OrderByChain(&listed));
-    cursor = heap->Fetch(listed);
-  }
+  JAGUAR_ASSIGN_OR_RETURN(
+      TableHeap::Iterator cursor,
+      exec::OpenSource(heap, pick.has_value() ? &*pick : nullptr,
+                       /*chain_order=*/true, &listed));
   exec::HeapScan scan(std::move(cursor), &spec, ctx);
   return scan.ForEach(&deadline, [&](Tuple* t, RecordId rid) -> Status {
     rows->push_back(std::move(*t));
@@ -284,7 +282,7 @@ Result<QueryResult> Database::ExecuteStatement(const sql::Statement& stmt,
                                                const QueryDeadline& deadline) {
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
-      return ExecuteSelect(stmt, deadline);
+      return RunSelect(stmt, deadline);
     case sql::StatementKind::kShowMetrics:
       return ExecuteShowMetrics(stmt);
     case sql::StatementKind::kCreateTable: {
@@ -339,248 +337,116 @@ Result<QueryResult> Database::ExecuteShowMetrics(const sql::Statement& stmt) {
   return result;
 }
 
-Result<QueryResult> Database::ExecuteAggregate(const sql::Statement& stmt,
-                                               const QueryDeadline& deadline) {
+Result<QueryResult> Database::RunSelect(const sql::Statement& stmt,
+                                        const QueryDeadline& deadline) {
   const sql::SelectStmt& sel = stmt.select;
   JAGUAR_ASSIGN_OR_RETURN(const TableInfo* table, catalog_->GetTable(sel.table));
   UdfContext ctx(this);
   ctx.set_callback_quota(options_.udf_callback_quota);
   ctx.set_deadline(&deadline);
 
-  JAGUAR_ASSIGN_OR_RETURN(
-      exec::AggregatePlan plan,
-      exec::PlanAggregate(sel, table->schema, sel.table, sel.table_alias,
-                          udf_manager_.get()));
-
+  // Bind once. An aggregate's ORDER BY sorts its output rows, so its key
+  // binds against the select items and the sort runs after the pipeline;
+  // any other ORDER BY makes the pipeline's sink a sorted run.
+  const bool aggregate =
+      exec::SelectHasAggregate(sel) || !sel.group_by.empty();
+  std::optional<exec::AggregatePlan> agg;
+  if (aggregate) {
+    JAGUAR_ASSIGN_OR_RETURN(
+        agg, exec::PlanAggregate(sel, table->schema, sel.table,
+                                 sel.table_alias, udf_manager_.get()));
+  }
   exec::BoundExprPtr predicate;
   if (sel.where != nullptr) {
     JAGUAR_ASSIGN_OR_RETURN(
         predicate, exec::Bind(*sel.where, table->schema, sel.table,
                               sel.table_alias, udf_manager_.get()));
   }
-
-  // ORDER BY sorts the aggregate *output*, so its key resolves against the
-  // select items / output schema — bind it up front so errors surface
-  // before any rows are consumed.
+  std::vector<exec::BoundExprPtr> out_exprs;
+  Schema out_schema;
+  if (aggregate) {
+    out_schema = agg->out_schema;
+  } else {
+    std::vector<Column> out_cols;
+    for (const sql::SelectItem& item : sel.items) {
+      if (item.is_star) {
+        for (size_t i = 0; i < table->schema.num_columns(); ++i) {
+          auto col = std::make_unique<exec::BoundExpr>();
+          col->kind = exec::BoundExprKind::kColumn;
+          col->column_index = i;
+          col->result_type = table->schema.column(i).type;
+          out_exprs.push_back(std::move(col));
+          out_cols.push_back(table->schema.column(i));
+        }
+        continue;
+      }
+      JAGUAR_ASSIGN_OR_RETURN(
+          exec::BoundExprPtr bound,
+          exec::Bind(*item.expr, table->schema, sel.table, sel.table_alias,
+                     udf_manager_.get()));
+      std::string name =
+          !item.alias.empty() ? item.alias : item.expr->ToString();
+      out_cols.push_back({std::move(name), bound->result_type});
+      out_exprs.push_back(std::move(bound));
+    }
+    out_schema = Schema(std::move(out_cols));
+  }
   exec::BoundExprPtr order_key;
   if (sel.order_by != nullptr) {
     JAGUAR_ASSIGN_OR_RETURN(
         order_key,
-        exec::BindAggregateOrderKey(sel, plan, udf_manager_.get()));
+        aggregate ? exec::BindAggregateOrderKey(sel, *agg, udf_manager_.get())
+                  : exec::Bind(*sel.order_by, table->schema, sel.table,
+                               sel.table_alias, udf_manager_.get()));
   }
 
-  // The scan decodes only what the group keys and aggregate arguments read
-  // (nothing at all for COUNT(*)).
+  // The access path, then what the record loop decodes: the columns the
+  // sink reads (nothing at all for COUNT(*)) besides the predicate's.
+  const std::optional<exec::IndexPick> pick =
+      ChooseAccessPath(table, &predicate);
   ColumnMask reads;
-  for (const exec::BoundExprPtr& key : plan.group_keys) {
-    exec::CollectColumns(*key, &reads);
-  }
-  for (const exec::AggSpec& spec : plan.specs) {
-    if (spec.arg != nullptr) exec::CollectColumns(*spec.arg, &reads);
+  if (aggregate) {
+    for (const exec::BoundExpr* e : agg->Inputs()) {
+      exec::CollectColumns(*e, &reads);
+    }
+  } else {
+    for (const exec::BoundExprPtr& e : out_exprs) {
+      exec::CollectColumns(*e, &reads);
+    }
+    if (order_key != nullptr) exec::CollectColumns(*order_key, &reads);
   }
   const exec::ScanSpec scan = exec::ScanSpec::Make(predicate.get(), reads);
 
-  std::vector<Tuple> rows;
-  const bool parallel =
-      options_.num_workers > 1 && options_.vectorized_execution;
-  if (parallel) {
-    exec::ParallelAggregateSpec pspec;
-    pspec.engine = storage_.get();
-    pspec.first_page = table->first_page;
-    pspec.scan = &scan;
-    pspec.plan = &plan;
-    pspec.batch_size = options_.batch_size;
-    pspec.num_workers = options_.num_workers;
-    pspec.callback_handler = this;
-    pspec.callback_quota = options_.udf_callback_quota;
-    pspec.deadline = &deadline;
-    JAGUAR_ASSIGN_OR_RETURN(rows, exec::RunParallelAggregate(pspec));
+  exec::Pipeline plan;
+  plan.engine = storage_.get();
+  plan.first_page = table->first_page;
+  plan.pick = pick.has_value() ? &*pick : nullptr;
+  plan.scan = &scan;
+  plan.batched = options_.vectorized_execution;
+  plan.batch_size = options_.batch_size;
+  plan.num_workers = options_.num_workers;
+  plan.ctx = &ctx;
+  if (aggregate) {
+    plan.aggregate = &*agg;
   } else {
-    exec::OperatorPtr op = std::make_unique<exec::SeqScanOp>(
-        storage_.get(), table->first_page, table->schema, scan, &ctx);
-    exec::HashAggregateOp agg(
-        std::move(op), &plan, &ctx,
-        options_.vectorized_execution ? options_.batch_size : 0, &deadline);
-    exec::TupleBatch batch(options_.batch_size);
-    while (true) {
-      JAGUAR_RETURN_IF_ERROR(agg.NextBatch(&batch));
-      if (batch.empty()) break;
-      for (Tuple& t : batch.tuples()) rows.push_back(std::move(t));
-    }
+    plan.order_key = order_key.get();
+    plan.descending = sel.order_desc;
+    plan.out_exprs = &out_exprs;
+    plan.limit = sel.limit;
   }
+  JAGUAR_ASSIGN_OR_RETURN(std::vector<Tuple> rows, exec::RunPipeline(plan));
 
-  if (order_key != nullptr) {
+  if (aggregate && order_key != nullptr) {
     JAGUAR_ASSIGN_OR_RETURN(
-        rows, exec::SortRows(
-                  std::move(rows), *order_key, sel.order_desc, sel.limit,
-                  &ctx, options_.vectorized_execution ? options_.batch_size : 0,
-                  &deadline));
-  } else if (sel.limit >= 0 &&
+        rows, exec::SortRows(std::move(rows), *order_key, sel.order_desc,
+                             sel.limit, &ctx, plan.batched, &deadline));
+  } else if (aggregate && sel.limit >= 0 &&
              rows.size() > static_cast<size_t>(sel.limit)) {
     rows.resize(static_cast<size_t>(sel.limit));
   }
-
   QueryResult result;
-  result.schema = plan.out_schema;
+  result.schema = std::move(out_schema);
   result.rows = std::move(rows);
-  result.rows_affected = result.rows.size();
-  return result;
-}
-
-Result<QueryResult> Database::ExecuteSelect(const sql::Statement& stmt,
-                                            const QueryDeadline& deadline) {
-  const sql::SelectStmt& sel = stmt.select;
-  if (exec::SelectHasAggregate(sel) || !sel.group_by.empty()) {
-    return ExecuteAggregate(stmt, deadline);
-  }
-  JAGUAR_ASSIGN_OR_RETURN(const TableInfo* table, catalog_->GetTable(sel.table));
-
-  UdfContext ctx(this);
-  ctx.set_callback_quota(options_.udf_callback_quota);
-  ctx.set_deadline(&deadline);
-
-  // Plan: SeqScan (WHERE inside) | IndexScan -> [Filter] -> Project ->
-  // [Limit]. Only an index scan's residual predicate gets a FilterOp; a heap
-  // scan, serial or per morsel worker, evaluates the WHERE clause in its
-  // record loop, before decoding the columns only the projection reads.
-  exec::BoundExprPtr predicate;
-  if (sel.where != nullptr) {
-    JAGUAR_ASSIGN_OR_RETURN(
-        predicate, exec::Bind(*sel.where, table->schema, sel.table,
-                              sel.table_alias, udf_manager_.get()));
-  }
-
-  std::optional<exec::IndexPick> pick = ChooseAccessPath(table, &predicate);
-
-  std::vector<exec::BoundExprPtr> out_exprs;
-  std::vector<Column> out_cols;
-  for (const sql::SelectItem& item : sel.items) {
-    if (item.is_star) {
-      for (size_t i = 0; i < table->schema.num_columns(); ++i) {
-        auto col = std::make_unique<exec::BoundExpr>();
-        col->kind = exec::BoundExprKind::kColumn;
-        col->column_index = i;
-        col->result_type = table->schema.column(i).type;
-        out_exprs.push_back(std::move(col));
-        out_cols.push_back(table->schema.column(i));
-      }
-      continue;
-    }
-    JAGUAR_ASSIGN_OR_RETURN(
-        exec::BoundExprPtr bound,
-        exec::Bind(*item.expr, table->schema, sel.table, sel.table_alias,
-                   udf_manager_.get()));
-    std::string name = !item.alias.empty() ? item.alias : item.expr->ToString();
-    out_cols.push_back({std::move(name), bound->result_type});
-    out_exprs.push_back(std::move(bound));
-  }
-  Schema out_schema(std::move(out_cols));
-
-  // ORDER BY evaluates its key against the *input* schema, so sorting
-  // happens on (key, projected row) pairs materialized before projection
-  // order is applied. Plan: scan/filter -> [sort] -> project -> [limit].
-  exec::BoundExprPtr order_key;
-  if (sel.order_by != nullptr) {
-    JAGUAR_ASSIGN_OR_RETURN(
-        order_key, exec::Bind(*sel.order_by, table->schema, sel.table,
-                              sel.table_alias, udf_manager_.get()));
-  }
-
-  ColumnMask reads;
-  for (const exec::BoundExprPtr& e : out_exprs) exec::CollectColumns(*e, &reads);
-  if (order_key != nullptr) exec::CollectColumns(*order_key, &reads);
-  const exec::ScanSpec scan = exec::ScanSpec::Make(predicate.get(), reads);
-  exec::OperatorPtr op;
-  if (pick.has_value()) {
-    ColumnMask fetched = reads;
-    if (predicate != nullptr) exec::CollectColumns(*predicate, &fetched);
-    op = std::make_unique<exec::IndexScanOp>(storage_.get(), std::move(*pick),
-                                             table->first_page, table->schema,
-                                             fetched);
-    if (predicate != nullptr) {
-      op = std::make_unique<exec::FilterOp>(std::move(op),
-                                            std::move(predicate), &ctx);
-    }
-  } else {
-    op = std::make_unique<exec::SeqScanOp>(
-        storage_.get(), table->first_page, table->schema, scan, &ctx);
-  }
-
-  QueryResult result;
-  result.schema = out_schema;
-  // Every vectorized plan shape can run morsel-parallel: plain scans merge
-  // per-morsel output (LIMIT truncates after the morsel-order merge), and
-  // ORDER BY k-way-merges per-morsel sorted runs — both byte-identical to
-  // the serial plan. An index pick forces the serial path: the morsel
-  // drivers partition heap pages, which an index probe already bypassed.
-  const bool parallel = options_.num_workers > 1 &&
-                        options_.vectorized_execution && !pick.has_value();
-  if (order_key == nullptr) {
-    if (parallel) {
-      exec::ParallelScanSpec pspec;
-      pspec.engine = storage_.get();
-      pspec.first_page = table->first_page;
-      pspec.scan = &scan;
-      pspec.out_exprs = &out_exprs;
-      pspec.batch_size = options_.batch_size;
-      pspec.num_workers = options_.num_workers;
-      pspec.limit = sel.limit;
-      pspec.callback_handler = this;
-      pspec.callback_quota = options_.udf_callback_quota;
-      pspec.deadline = &deadline;
-      JAGUAR_ASSIGN_OR_RETURN(result.rows, exec::RunParallelScan(pspec));
-      result.rows_affected = result.rows.size();
-      return result;
-    }
-    op = std::make_unique<exec::ProjectOp>(std::move(op), std::move(out_exprs),
-                                           out_schema, &ctx);
-    if (sel.limit >= 0) {
-      op = std::make_unique<exec::LimitOp>(std::move(op), sel.limit);
-    }
-    if (options_.vectorized_execution) {
-      exec::TupleBatch batch(options_.batch_size);
-      while (true) {
-        JAGUAR_RETURN_IF_ERROR(deadline.Check());
-        JAGUAR_RETURN_IF_ERROR(op->NextBatch(&batch));
-        if (batch.empty()) break;
-        for (Tuple& t : batch.tuples()) result.rows.push_back(std::move(t));
-      }
-    } else {
-      while (true) {
-        JAGUAR_RETURN_IF_ERROR(deadline.Check());
-        JAGUAR_ASSIGN_OR_RETURN(auto t, op->Next());
-        if (!t.has_value()) break;
-        result.rows.push_back(std::move(*t));
-      }
-    }
-  } else if (parallel) {
-    exec::ParallelSortSpec pspec;
-    pspec.engine = storage_.get();
-    pspec.first_page = table->first_page;
-    pspec.scan = &scan;
-    pspec.order_key = order_key.get();
-    pspec.descending = sel.order_desc;
-    pspec.limit = sel.limit;
-    pspec.out_exprs = &out_exprs;
-    pspec.batch_size = options_.batch_size;
-    pspec.num_workers = options_.num_workers;
-    pspec.callback_handler = this;
-    pspec.callback_quota = options_.udf_callback_quota;
-    pspec.deadline = &deadline;
-    JAGUAR_ASSIGN_OR_RETURN(result.rows, exec::RunParallelSort(pspec));
-  } else {
-    exec::SortOp sort(std::move(op), std::move(order_key),
-                      std::move(out_exprs), out_schema, sel.order_desc,
-                      sel.limit, &ctx,
-                      options_.vectorized_execution ? options_.batch_size : 0,
-                      &deadline);
-    exec::TupleBatch batch(options_.batch_size);
-    while (true) {
-      JAGUAR_RETURN_IF_ERROR(sort.NextBatch(&batch));
-      if (batch.empty()) break;
-      for (Tuple& t : batch.tuples()) result.rows.push_back(std::move(t));
-    }
-  }
   result.rows_affected = result.rows.size();
   return result;
 }

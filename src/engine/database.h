@@ -67,24 +67,26 @@ struct DatabaseOptions {
   /// copying semaphore-per-message channel). Any other value fails Open with
   /// InvalidArgument.
   std::string ipc_transport = "ring";
-  /// Vectorized execution (Section 2.5): operators exchange `batch_size`
-  /// tuples per `NextBatch` pull and UDF calls cross the isolation boundary
-  /// once per batch instead of once per tuple. Off by default so the
-  /// paper-figure benchmarks keep measuring true per-invocation crossings.
+  /// Vectorized execution (Section 2.5): a plan reads `batch_size` records
+  /// at a time and UDF calls cross the isolation boundary once per batch
+  /// instead of once per tuple (the pipeline's `batched` flag). Off by
+  /// default so the paper-figure benchmarks keep measuring true
+  /// per-invocation crossings.
   bool vectorized_execution = false;
-  /// Tuples per operator batch when `vectorized_execution` is on.
+  /// Records per batch when `vectorized_execution` is on.
   size_t batch_size = 256;
   /// Capacity (entries) of the per-(UDF, arguments) result memo attached to
   /// each runner; 0 = disabled. Only deterministic, callback-free
   /// invocations are memoized, and re-registration drops the memo.
   size_t udf_memo_entries = 0;
   /// Morsel-driven intra-query parallelism: worker threads per SELECT
-  /// (1 = serial). Requires `vectorized_execution`. Covers every plan
-  /// shape — scans (LIMIT truncates after the morsel-order merge),
-  /// aggregation (per-morsel partial hash tables merged in morsel order)
-  /// and ORDER BY (per-morsel sorted runs, k-way merge) — with output
-  /// byte-identical to serial. Isolated UDF designs get an executor pool
-  /// of this size (one child process per worker).
+  /// (1 = serial). Requires `vectorized_execution` and a heap scan (an
+  /// index plan is one stream). Covers every sink — scans (LIMIT truncates
+  /// after the morsel-order merge), aggregation (per-morsel partial hash
+  /// tables merged in morsel order) and ORDER BY (per-morsel sorted runs,
+  /// k-way merge) — with output byte-identical to serial. Isolated UDF
+  /// designs get an executor pool of this size (one child process per
+  /// worker).
   size_t num_workers = 1;
   /// Wall-clock deadline per query in milliseconds (0 = unlimited). When it
   /// passes, serial and parallel operators stop between tuples/batches,
@@ -200,10 +202,12 @@ class Database : public UdfCallbackHandler {
   /// it lives in `Execute`'s frame for the duration of the statement.
   Result<QueryResult> ExecuteStatement(const sql::Statement& stmt,
                                        const QueryDeadline& deadline);
-  Result<QueryResult> ExecuteSelect(const sql::Statement& stmt,
-                                    const QueryDeadline& deadline);
-  Result<QueryResult> ExecuteAggregate(const sql::Statement& stmt,
-                                       const QueryDeadline& deadline);
+  /// The plan builder of every SELECT: binds the statement once, picks the
+  /// access path, and runs one `exec::Pipeline` (collect, partial-aggregate
+  /// or sorted-run sink); an aggregate's ORDER BY or LIMIT then applies to
+  /// its output rows.
+  Result<QueryResult> RunSelect(const sql::Statement& stmt,
+                                const QueryDeadline& deadline);
   Result<QueryResult> ExecuteInsert(const sql::Statement& stmt,
                                     const QueryDeadline& deadline);
   Result<QueryResult> ExecuteDelete(const sql::Statement& stmt,
@@ -215,9 +219,10 @@ class Database : public UdfCallbackHandler {
                                          const QueryDeadline& deadline);
   Result<QueryResult> ExecuteDropIndex(const sql::Statement& stmt);
 
-  /// The access-path chooser of SELECT, UPDATE and DELETE: an index probe
-  /// for `*predicate` over `table`'s indexes (`exec::PickIndexScan`), which
-  /// then leaves only the residual in `*predicate`; nullopt for a heap scan.
+  /// The access-path chooser of SELECT (aggregates included), UPDATE and
+  /// DELETE: an index probe for `*predicate` over `table`'s indexes
+  /// (`exec::PickIndexScan`), which then leaves only the residual in
+  /// `*predicate`; nullopt for a heap scan.
   std::optional<exec::IndexPick> ChooseAccessPath(
       const TableInfo* table,
       std::unique_ptr<exec::BoundExpr>* predicate) const;

@@ -1,6 +1,7 @@
 #include "exec/aggregate.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/bytes.h"
@@ -13,8 +14,6 @@ namespace exec {
 namespace {
 
 struct AggMetricsCounters {
-  obs::Counter* queries;
-  obs::Counter* parallel_queries;
   obs::Counter* rows;
   obs::Counter* groups;
   obs::Counter* partial_merges;
@@ -24,8 +23,6 @@ AggMetricsCounters* AggMetrics() {
   static AggMetricsCounters* m = [] {
     obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
     return new AggMetricsCounters{
-        reg->GetCounter("exec.agg.queries"),
-        reg->GetCounter("exec.agg.parallel_queries"),
         reg->GetCounter("exec.agg.rows"),
         reg->GetCounter("exec.agg.groups"),
         reg->GetCounter("exec.agg.partial_merges"),
@@ -240,6 +237,15 @@ Result<AggregatePlan> PlanAggregate(const sql::SelectStmt& sel,
   return plan;
 }
 
+std::vector<const BoundExpr*> AggregatePlan::Inputs() const {
+  std::vector<const BoundExpr*> inputs;
+  for (const BoundExprPtr& key : group_keys) inputs.push_back(key.get());
+  for (const AggSpec& spec : specs) {
+    if (spec.arg != nullptr) inputs.push_back(spec.arg.get());
+  }
+  return inputs;
+}
+
 Result<BoundExprPtr> BindAggregateOrderKey(const sql::SelectStmt& sel,
                                            const AggregatePlan& plan,
                                            UdfResolver* resolver) {
@@ -271,7 +277,10 @@ Result<BoundExprPtr> BindAggregateOrderKey(const sql::SelectStmt& sel,
 // HashAggregator
 // ---------------------------------------------------------------------------
 
-HashAggregator::HashAggregator(const AggregatePlan* plan) : plan_(plan) {
+HashAggregator::HashAggregator(const AggregatePlan* plan)
+    : plan_(plan),
+      exprs_(plan->Inputs()),
+      args_(plan->specs.size(), nullptr) {
   if (plan_->implicit_single_group()) {
     // The implicit group exists even for empty input: global aggregates
     // always produce one row.
@@ -302,57 +311,25 @@ Status HashAggregator::AccumulateRow(Group* group,
   return Status::OK();
 }
 
-Status HashAggregator::ConsumeBatch(const std::vector<Tuple>& tuples,
-                                    UdfContext* ctx) {
+Status HashAggregator::Consume(const std::vector<Tuple>& tuples, bool batched,
+                               UdfContext* ctx) {
   if (tuples.empty()) return Status::OK();
   AggMetrics()->rows->Add(tuples.size());
+  std::vector<Value> evaluated;
+  JAGUAR_RETURN_IF_ERROR(EvalRows(exprs_, tuples, batched, ctx, &evaluated));
 
-  std::vector<std::vector<Value>> key_cols;
-  key_cols.reserve(plan_->group_keys.size());
-  for (const BoundExprPtr& key : plan_->group_keys) {
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> col,
-                            EvalBatch(*key, tuples, ctx));
-    key_cols.push_back(std::move(col));
-  }
-  std::vector<std::vector<Value>> arg_cols(plan_->specs.size());
-  for (size_t a = 0; a < plan_->specs.size(); ++a) {
-    if (plan_->specs[a].arg == nullptr) continue;
-    JAGUAR_ASSIGN_OR_RETURN(arg_cols[a],
-                            EvalBatch(*plan_->specs[a].arg, tuples, ctx));
-  }
-
-  std::vector<const Value*> args(plan_->specs.size(), nullptr);
+  const size_t num_keys = plan_->group_keys.size();
   for (size_t row = 0; row < tuples.size(); ++row) {
-    std::vector<Value> keys;
-    keys.reserve(key_cols.size());
-    for (std::vector<Value>& col : key_cols) keys.push_back(std::move(col[row]));
+    Value* values = evaluated.data() + row * exprs_.size();
+    std::vector<Value> keys(std::make_move_iterator(values),
+                            std::make_move_iterator(values + num_keys));
     std::string key_bytes = SerializeKey(keys);
     Group* group = FindOrCreateGroup(key_bytes, std::move(keys));
+    const Value* arg = values + num_keys;
     for (size_t a = 0; a < plan_->specs.size(); ++a) {
-      if (plan_->specs[a].arg != nullptr) args[a] = &arg_cols[a][row];
+      if (plan_->specs[a].arg != nullptr) args_[a] = arg++;
     }
-    JAGUAR_RETURN_IF_ERROR(AccumulateRow(group, args));
-  }
-  return Status::OK();
-}
-
-Status HashAggregator::ConsumeTuple(const Tuple& tuple, UdfContext* ctx) {
-  AggMetrics()->rows->Add();
-  std::vector<Value> keys;
-  keys.reserve(plan_->group_keys.size());
-  for (const BoundExprPtr& key : plan_->group_keys) {
-    JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*key, tuple, ctx));
-    keys.push_back(std::move(v));
-  }
-  std::string key_bytes = SerializeKey(keys);
-  Group* group = FindOrCreateGroup(key_bytes, std::move(keys));
-  for (size_t a = 0; a < plan_->specs.size(); ++a) {
-    if (plan_->specs[a].fn == AggFn::kCountStar) {
-      ++group->accums[a].count;
-      continue;
-    }
-    JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*plan_->specs[a].arg, tuple, ctx));
-    JAGUAR_RETURN_IF_ERROR(group->accums[a].Accumulate(plan_->specs[a], v));
+    JAGUAR_RETURN_IF_ERROR(AccumulateRow(group, args_));
   }
   return Status::OK();
 }
@@ -408,59 +385,6 @@ Result<std::vector<Tuple>> HashAggregator::Finalize(
     rows.push_back(Tuple(std::move(row)));
   }
   return rows;
-}
-
-// ---------------------------------------------------------------------------
-// HashAggregateOp
-// ---------------------------------------------------------------------------
-
-HashAggregateOp::HashAggregateOp(OperatorPtr child, const AggregatePlan* plan,
-                                 UdfContext* ctx, size_t batch_size,
-                                 const QueryDeadline* deadline)
-    : child_(std::move(child)),
-      plan_(plan),
-      ctx_(ctx),
-      batch_size_(batch_size),
-      deadline_(deadline),
-      aggregator_(plan) {}
-
-Status HashAggregateOp::DrainChild() {
-  if (drained_) return Status::OK();
-  drained_ = true;
-  AggMetrics()->queries->Add();
-  if (batch_size_ > 0) {
-    TupleBatch batch(batch_size_);
-    while (true) {
-      JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline_));
-      JAGUAR_RETURN_IF_ERROR(child_->NextBatch(&batch));
-      if (batch.empty()) break;
-      JAGUAR_RETURN_IF_ERROR(aggregator_.ConsumeBatch(batch.tuples(), ctx_));
-    }
-  } else {
-    while (true) {
-      JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline_));
-      JAGUAR_ASSIGN_OR_RETURN(auto t, child_->Next());
-      if (!t.has_value()) break;
-      JAGUAR_RETURN_IF_ERROR(aggregator_.ConsumeTuple(*t, ctx_));
-    }
-  }
-  JAGUAR_ASSIGN_OR_RETURN(rows_, aggregator_.Finalize(deadline_));
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> HashAggregateOp::Next() {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  if (emit_pos_ >= rows_.size()) return std::optional<Tuple>();
-  return std::optional<Tuple>(std::move(rows_[emit_pos_++]));
-}
-
-Status HashAggregateOp::NextBatch(TupleBatch* out) {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  out->Clear();
-  while (emit_pos_ < rows_.size() && !out->full()) {
-    out->Add(std::move(rows_[emit_pos_++]));
-  }
-  return Status::OK();
 }
 
 }  // namespace exec

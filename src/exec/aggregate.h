@@ -5,12 +5,14 @@
 /// Vectorized hash aggregation with mergeable accumulators.
 ///
 /// `PlanAggregate` binds a SELECT's GROUP BY keys, aggregate specs and
-/// output layout once; a `HashAggregator` then consumes tuples — batch-at-
-/// a-time through `EvalBatch`, so UDFs in group keys or aggregate arguments
-/// cross their design's protection boundary once per batch — and keeps one
-/// accumulator set per distinct key. count/sum/avg/min/max accumulators are
-/// all mergeable, which is what makes the morsel-parallel path work:
-/// each morsel builds a partial aggregator and the partials are merged in
+/// output layout once; a `HashAggregator` — the pipeline's partial-
+/// aggregate sink — then consumes tuples (batch-at-a-time under the batch
+/// protocol, so UDFs in group keys or aggregate arguments cross their
+/// design's protection boundary once per batch) and keeps one accumulator
+/// set per distinct key. A serial plan is one stream: one aggregator,
+/// finalized without a merge. count/sum/avg/min/max accumulators are all
+/// mergeable, which is what makes the morsel-parallel plan work: each
+/// morsel builds a partial aggregator and the partials are merged in
 /// morsel index order, so the combined state (including min/max ties, which
 /// keep the first value in scan order, and the floating-point sum order) is
 /// deterministic and key-ordered output matches the serial path exactly.
@@ -34,7 +36,6 @@
 #include "common/deadline.h"
 #include "common/status.h"
 #include "exec/expression.h"
-#include "exec/operators.h"
 #include "sql/ast.h"
 #include "types/schema.h"
 #include "types/tuple.h"
@@ -98,6 +99,10 @@ struct AggregatePlan {
   Schema out_schema;
 
   bool implicit_single_group() const { return group_keys.empty(); }
+
+  /// What each input row is evaluated for, in evaluation order: the group
+  /// keys, then every aggregate's argument (count(*) has none).
+  std::vector<const BoundExpr*> Inputs() const;
 };
 
 /// Binds GROUP BY keys and select items against `input`: aggregates become
@@ -122,12 +127,11 @@ class HashAggregator {
  public:
   explicit HashAggregator(const AggregatePlan* plan);
 
-  /// Vectorized consume: group keys and aggregate arguments are evaluated
-  /// with `EvalBatch` (one boundary crossing per batch for UDFs).
-  Status ConsumeBatch(const std::vector<Tuple>& tuples, UdfContext* ctx);
-
-  /// Scalar consume for the non-vectorized engine path: per-tuple `Eval`.
-  Status ConsumeTuple(const Tuple& tuple, UdfContext* ctx);
+  /// Folds `tuples` in, in order. Group keys and aggregate arguments are
+  /// evaluated by `EvalRows`: with `batched` once per batch (one boundary
+  /// crossing per UDF), otherwise row by row.
+  Status Consume(const std::vector<Tuple>& tuples, bool batched,
+                 UdfContext* ctx);
 
   /// Merges (and drains) `other`, whose rows come after this aggregator's
   /// rows in scan order. `deadline` is polled during the merge loop.
@@ -149,35 +153,9 @@ class HashAggregator {
                            std::vector<Value> keys);
 
   const AggregatePlan* plan_;
+  std::vector<const BoundExpr*> exprs_;  ///< `plan_->Inputs()`.
+  std::vector<const Value*> args_;       ///< One row's arguments, per spec.
   std::unordered_map<std::string, Group> groups_;
-};
-
-/// Pull-operator wrapper over HashAggregator for the serial engine path.
-/// `batch_size` 0 selects the per-tuple scalar pipeline (non-vectorized
-/// engines keep their per-invocation UDF crossing counts); > 0 drains the
-/// child batch-at-a-time.
-class HashAggregateOp : public Operator {
- public:
-  HashAggregateOp(OperatorPtr child, const AggregatePlan* plan,
-                  UdfContext* ctx, size_t batch_size,
-                  const QueryDeadline* deadline);
-
-  Result<std::optional<Tuple>> Next() override;
-  Status NextBatch(TupleBatch* out) override;
-  const Schema& schema() const override { return plan_->out_schema; }
-
- private:
-  Status DrainChild();
-
-  OperatorPtr child_;
-  const AggregatePlan* plan_;
-  UdfContext* ctx_;
-  size_t batch_size_;
-  const QueryDeadline* deadline_;
-  HashAggregator aggregator_;
-  bool drained_ = false;
-  std::vector<Tuple> rows_;
-  size_t emit_pos_ = 0;
 };
 
 }  // namespace exec

@@ -353,5 +353,31 @@ Result<std::vector<char>> EvalPredicateBatch(const BoundExpr& expr,
   return passes;
 }
 
+Status EvalRows(const std::vector<const BoundExpr*>& exprs,
+                const std::vector<Tuple>& tuples, bool batched,
+                UdfContext* ctx, std::vector<Value>* values) {
+  values->clear();
+  const size_t width = exprs.size();
+  if (batched) {
+    if (tuples.empty()) return Status::OK();
+    values->resize(tuples.size() * width);
+    for (size_t e = 0; e < width; ++e) {
+      JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> column,
+                              EvalBatch(*exprs[e], tuples, ctx));
+      for (size_t row = 0; row < tuples.size(); ++row) {
+        (*values)[row * width + e] = std::move(column[row]);
+      }
+    }
+    return Status::OK();
+  }
+  for (const Tuple& tuple : tuples) {
+    for (const BoundExpr* e : exprs) {
+      JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*e, tuple, ctx));
+      values->push_back(std::move(v));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace exec
 }  // namespace jaguar

@@ -91,6 +91,18 @@ Result<std::vector<char>> EvalPredicateBatch(const BoundExpr& expr,
                                              const std::vector<Tuple>& tuples,
                                              UdfContext* ctx);
 
+/// The one place a plan chooses between per-batch and per-row UDF calls
+/// for its projection, sort key, group keys and aggregate arguments:
+/// evaluates every expression of `exprs` over `tuples` into `*values`, row
+/// by row (`(*values)[row * exprs.size() + e]`), replacing its contents
+/// but keeping its capacity for the next call. `batched`: one `EvalBatch`
+/// per expression, so a UDF crosses its boundary once per batch; otherwise
+/// `Eval` row by row, each row's expressions in order — the per-tuple
+/// engine's call order. An empty batch calls no UDF.
+Status EvalRows(const std::vector<const BoundExpr*>& exprs,
+                const std::vector<Tuple>& tuples, bool batched,
+                UdfContext* ctx, std::vector<Value>* values);
+
 }  // namespace exec
 }  // namespace jaguar
 

@@ -230,24 +230,13 @@ Result<std::vector<RecordId>> ProbeIndex(StorageEngine* engine,
   return rids;
 }
 
-IndexScanOp::IndexScanOp(StorageEngine* engine, IndexPick pick,
-                         PageId heap_first, Schema schema,
-                         const ColumnMask& reads)
-    : pick_(std::move(pick)),
-      heap_(engine, heap_first),
-      schema_(std::move(schema)),
-      spec_(ScanSpec::Make(nullptr, reads)) {}
-
-Result<std::optional<Tuple>> IndexScanOp::Next() {
-  if (!scan_.has_value()) {
-    JAGUAR_ASSIGN_OR_RETURN(rids_, ProbeIndex(heap_.engine(), pick_));
-    scan_.emplace(heap_.Fetch(rids_), &spec_, /*ctx=*/nullptr);
-  }
-  row_.clear();
-  JAGUAR_ASSIGN_OR_RETURN(size_t read,
-                          scan_->Read(1, /*batched=*/false, &row_));
-  if (read == 0) return std::optional<Tuple>();
-  return std::make_optional(std::move(row_[0]));
+Result<TableHeap::Iterator> OpenSource(TableHeap* heap, const IndexPick* pick,
+                                       bool chain_order,
+                                       std::vector<RecordId>* rids) {
+  if (pick == nullptr) return heap->Scan();
+  JAGUAR_ASSIGN_OR_RETURN(*rids, ProbeIndex(heap->engine(), *pick));
+  if (chain_order) JAGUAR_RETURN_IF_ERROR(heap->OrderByChain(rids));
+  return heap->Fetch(*rids);
 }
 
 }  // namespace exec

@@ -2,8 +2,8 @@
 #define JAGUAR_EXEC_INDEX_SCAN_H_
 
 /// \file index_scan.h
-/// Index scans and the access-path chooser shared by SELECT, UPDATE and
-/// DELETE.
+/// The access-path chooser and the index source shared by SELECT
+/// (aggregates included), UPDATE and DELETE.
 ///
 /// `PickIndexScan` looks at a bound WHERE clause's top-level AND chain for
 /// conjuncts of the form `<column> <cmp> <constant>` (either side) where the
@@ -24,20 +24,18 @@
 /// unknown → WHERE-false), and bounds compare with `Value::Compare` exactly
 /// like the evaluator.
 ///
-/// Metrics (SELECT, UPDATE and DELETE probes alike):
+/// Metrics (SELECT, aggregate, UPDATE and DELETE probes alike):
 ///   exec.index.scans        index probes executed
 ///   exec.index.range_scans  the subset driven by a range (non-equality)
 ///   exec.index.lookups      record ids produced by index probes
 ///   exec.index.inserts      entries inserted (maintenance + backfill)
 ///   exec.index.deletes      entries removed (maintenance)
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "exec/expression.h"
-#include "exec/operators.h"
 #include "index/btree.h"
 #include "storage/table_heap.h"
 
@@ -72,29 +70,15 @@ std::optional<IndexPick> PickIndexScan(
 Result<std::vector<RecordId>> ProbeIndex(StorageEngine* engine,
                                          const IndexPick& pick);
 
-/// Probes the B+-tree once on first pull, then streams the matching heap
-/// records in (key, rid) order, read in place and decoding only `reads`,
-/// the columns the plan and its residual filter read. A dangling index
-/// entry is Corruption.
-class IndexScanOp : public Operator {
- public:
-  IndexScanOp(StorageEngine* engine, IndexPick pick, PageId heap_first,
-              Schema schema, const ColumnMask& reads);
-
-  /// The base-class NextBatch (a Next() loop) provides the batch protocol;
-  /// there are no per-tuple expressions here to vectorize.
-  Result<std::optional<Tuple>> Next() override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  IndexPick pick_;
-  TableHeap heap_;
-  Schema schema_;
-  ScanSpec spec_;
-  std::vector<RecordId> rids_;
-  std::optional<HeapScan> scan_;  ///< Over `rids_`, from the first pull.
-  std::vector<Tuple> row_;        ///< Scratch for `Next`.
-};
+/// Opens a plan's source over `heap`: its chain, or with `pick` the
+/// index survivors, probed into `*rids` (the cursor reads that list, so it
+/// must outlive the cursor). The survivors come in the probe's (key, rid)
+/// order, or with `chain_order` in heap-chain order (`OrderByChain`) — the
+/// order a heap scan would meet them, which keeps an aggregate's sums and
+/// ties, and UPDATE and DELETE's heap layout, identical to the heap plan.
+Result<TableHeap::Iterator> OpenSource(TableHeap* heap, const IndexPick* pick,
+                                       bool chain_order,
+                                       std::vector<RecordId>* rids);
 
 }  // namespace exec
 }  // namespace jaguar

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -15,52 +16,112 @@ namespace exec {
 
 namespace {
 
-struct ParallelMetrics {
-  obs::Counter* queries;
-  obs::Counter* workers;
-  obs::Counter* morsels;
-  obs::Counter* tuples;
-  obs::Counter* agg_queries;
-  obs::Counter* agg_parallel_queries;
-  obs::Counter* sort_queries;
-  obs::Counter* sort_parallel_queries;
-  obs::Counter* sort_topk_queries;
-};
-
-ParallelMetrics* Metrics() {
-  static ParallelMetrics* m = [] {
-    obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-    return new ParallelMetrics{
-        reg->GetCounter("exec.parallel.queries"),
-        reg->GetCounter("exec.parallel.workers"),
-        reg->GetCounter("exec.parallel.morsels"),
-        reg->GetCounter("exec.parallel.tuples"),
-        reg->GetCounter("exec.agg.queries"),
-        reg->GetCounter("exec.agg.parallel_queries"),
-        reg->GetCounter("exec.sort.queries"),
-        reg->GetCounter("exec.sort.parallel_queries"),
-        reg->GetCounter("exec.sort.topk_queries"),
-    };
-  }();
-  return m;
+/// The counter `name`. Each call site keeps it in a function-local static,
+/// so a counter is registered only once a plan bumps it: every registered
+/// counter costs each statement's metrics snapshot (Database::Execute).
+obs::Counter* Counter(const char* name) {
+  return obs::MetricsRegistry::Global()->GetCounter(name);
 }
 
-/// Page-chain split shared by every morsel-driven plan shape.
+bool Collects(const Pipeline& p) {
+  return p.aggregate == nullptr && p.order_key == nullptr;
+}
+
+/// What one stream leaves behind: its sink.
+struct Stream {
+  std::vector<Tuple> rows;                  ///< collect
+  std::unique_ptr<HashAggregator> partial;  ///< partial aggregate
+  std::optional<Sorter> sorter;             ///< sorted run
+};
+
+/// Runs one stream — the whole source, or one morsel — through the record
+/// loop into a new sink in `*out`. `serial` bumps the `exec.<op>.tuples`
+/// counters; `*enough`, once set, stops the stream.
+Status RunStream(const Pipeline& p, TableHeap::Iterator cursor,
+                 UdfContext* ctx, bool serial, size_t run_id,
+                 const std::atomic<bool>* enough, Stream* out) {
+  const bool collect = Collects(p);
+  if (p.aggregate != nullptr) {
+    out->partial = std::make_unique<HashAggregator>(p.aggregate);
+  } else if (p.order_key != nullptr) {
+    out->sorter.emplace(p.descending, p.limit, run_id);
+  }
+  // The sink's expressions: the sort key ahead of the projection.
+  std::vector<const BoundExpr*> exprs;
+  if (p.order_key != nullptr) exprs.push_back(p.order_key);
+  if (p.out_exprs != nullptr) {
+    for (const BoundExprPtr& e : *p.out_exprs) exprs.push_back(e.get());
+  }
+  const size_t width = exprs.size();
+  const size_t key_columns = p.order_key != nullptr ? 1 : 0;
+  const size_t per_read = p.batched ? std::max<size_t>(1, p.batch_size) : 1;
+  const bool limited = collect && p.limit >= 0;
+  HeapScan scan(std::move(cursor), p.scan, ctx);
+  std::vector<Tuple> rows;
+  std::vector<Value> values;
+  while (enough == nullptr || !enough->load()) {
+    size_t want = per_read;
+    if (limited) {
+      const size_t limit = static_cast<size_t>(p.limit);
+      if (out->rows.size() >= limit) break;
+      // Read no record past the limit: its UDFs would run for nothing.
+      want = std::min(want, limit - out->rows.size());
+    }
+    // Cancellation point before every read, so an expired deadline stops
+    // the stream before its next round of UDF calls.
+    JAGUAR_RETURN_IF_ERROR(ctx->CheckDeadline());
+    rows.clear();
+    JAGUAR_ASSIGN_OR_RETURN(size_t read, scan.Read(want, p.batched, &rows));
+    if (serial && p.pick == nullptr) {
+      static obs::Counter* scanned = Counter("exec.seqscan.tuples");
+      scanned->Add(read);
+    }
+    if (serial && p.scan->predicate != nullptr) {
+      static obs::Counter* filtered = Counter("exec.filter.tuples");
+      filtered->Add(rows.size());
+    }
+    if (rows.empty()) break;  // end of the source
+    if (out->partial != nullptr) {
+      JAGUAR_RETURN_IF_ERROR(out->partial->Consume(rows, p.batched, ctx));
+      continue;
+    }
+    JAGUAR_RETURN_IF_ERROR(EvalRows(exprs, rows, p.batched, ctx, &values));
+    for (size_t row = 0; row < rows.size(); ++row) {
+      Value* first = values.data() + row * width;
+      Tuple projected(std::vector<Value>(
+          std::make_move_iterator(first + key_columns),
+          std::make_move_iterator(first + width)));
+      if (out->sorter.has_value()) {
+        out->sorter->Add(std::move(first[0]), std::move(projected));
+      } else {
+        out->rows.push_back(std::move(projected));
+      }
+    }
+    if (serial && collect) {
+      static obs::Counter* project_tuples = Counter("exec.project.tuples");
+      project_tuples->Add(rows.size());
+    }
+    if (serial && limited) {
+      static obs::Counter* limit_tuples = Counter("exec.limit.tuples");
+      limit_tuples->Add(rows.size());
+    }
+  }
+  return out->sorter.has_value() ? out->sorter->Finish() : Status::OK();
+}
+
+/// The page-chain split of a parallel plan.
 struct MorselPlan {
   std::vector<PageId> pages;
-  size_t morsel_pages = 1;
   size_t num_morsels = 0;
   size_t num_workers = 1;
 };
 
 Result<MorselPlan> PlanMorsels(StorageEngine* engine, PageId first_page,
-                               size_t morsel_pages, size_t num_workers) {
+                               size_t num_workers) {
   MorselPlan plan;
-  plan.morsel_pages = morsel_pages > 0 ? morsel_pages : 1;
   TableHeap heap(engine, first_page);
   JAGUAR_ASSIGN_OR_RETURN(plan.pages, heap.ListPages());
-  plan.num_morsels =
-      (plan.pages.size() + plan.morsel_pages - 1) / plan.morsel_pages;
+  plan.num_morsels = (plan.pages.size() + kMorselPages - 1) / kMorselPages;
   // Every worker's cursor may pin kMaxPins frames at once and the pool
   // returns ResourceExhausted rather than wait for a frame, so run no more
   // workers than the pool can pin for, keeping one frame for readahead.
@@ -72,51 +133,62 @@ Result<MorselPlan> PlanMorsels(StorageEngine* engine, PageId first_page,
   return plan;
 }
 
-/// Per-morsel work: `m` is the morsel index, [page_begin, page_end) its
-/// slice of the page chain; `heap` and `ctx` are this worker's private
-/// cursor and UDF context.
-using MorselFn = std::function<Status(size_t m, size_t page_begin,
-                                      size_t page_end, TableHeap* heap,
-                                      UdfContext* ctx)>;
+/// Runs every morsel of `plan` as a stream of its own, `(*streams)[m]` for
+/// morsel m, on workers pulling morsel indices from an atomic dispenser.
+/// The first error wins and cancels the remaining morsels.
+Status RunMorsels(const Pipeline& p, const MorselPlan& plan,
+                  std::vector<Stream>* streams) {
+  static obs::Counter* queries = Counter("exec.parallel.queries");
+  static obs::Counter* workers = Counter("exec.parallel.workers");
+  static obs::Counter* morsels = Counter("exec.parallel.morsels");
+  queries->Add();
+  workers->Add(plan.num_workers);
+  morsels->Add(plan.num_morsels);
+  streams->resize(plan.num_morsels);
 
-/// Launches workers pulling morsel indices from an atomic dispenser and
-/// running `fn` on each. First error wins and cancels remaining morsels;
-/// once `*enough` is set no further morsel is handed out.
-Status DriveMorsels(StorageEngine* engine, PageId first_page,
-                    const MorselPlan& plan, UdfCallbackHandler* handler,
-                    uint64_t callback_quota, const QueryDeadline* deadline,
-                    const MorselFn& fn,
-                    const std::atomic<bool>* enough = nullptr) {
-  Metrics()->queries->Add();
-  Metrics()->workers->Add(plan.num_workers);
-  Metrics()->morsels->Add(plan.num_morsels);
+  // Under LIMIT, the completed morsel prefix (every morsel before the first
+  // unfinished one) is tracked; once it holds `limit` rows the merge can
+  // no longer reach past it, so dispensing stops and morsels still running
+  // beyond it give up.
+  const bool cut = Collects(p) && p.limit >= 0;
+  std::atomic<bool> enough{false};
+  std::mutex prefix_mutex;
+  std::vector<char> finished(plan.num_morsels, 0);
+  size_t prefix = 0;
+  size_t prefix_rows = 0;
 
   std::atomic<size_t> dispenser{0};
   std::atomic<bool> stop{false};
   std::mutex error_mutex;
   Status first_error;
-
   auto worker = [&] {
     // Per-worker cursor and callback context; everything else the worker
     // touches (buffer pool, runners, metrics) is shared and thread-safe.
-    TableHeap worker_heap(engine, first_page);
-    UdfContext ctx(handler);
-    ctx.set_callback_quota(callback_quota);
-    ctx.set_deadline(deadline);
-    while (!stop.load(std::memory_order_relaxed) &&
-           (enough == nullptr || !enough->load())) {
+    TableHeap heap(p.engine, p.first_page);
+    UdfContext ctx = *p.ctx;
+    while (!stop.load(std::memory_order_relaxed) && !enough.load()) {
       const size_t m = dispenser.fetch_add(1, std::memory_order_relaxed);
       if (m >= plan.num_morsels) break;
-      const size_t page_begin = m * plan.morsel_pages;
-      const size_t page_end =
-          std::min(plan.pages.size(), page_begin + plan.morsel_pages);
-      Status s = fn(m, page_begin, page_end, &worker_heap, &ctx);
+      const size_t begin = m * kMorselPages;
+      const size_t end = std::min(plan.pages.size(), begin + kMorselPages);
+      Status s = RunStream(p, heap.ScanPages(plan.pages, begin, end), &ctx,
+                           /*serial=*/false, /*run_id=*/m,
+                           cut ? &enough : nullptr, &(*streams)[m]);
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (first_error.ok()) first_error = std::move(s);
         stop.store(true, std::memory_order_relaxed);
         break;
       }
+      if (!cut) continue;
+      std::lock_guard<std::mutex> lock(prefix_mutex);
+      // A morsel cut short by `enough` lies past the covered prefix.
+      if (enough.load()) continue;
+      finished[m] = 1;
+      while (prefix < plan.num_morsels && finished[prefix]) {
+        prefix_rows += (*streams)[prefix++].rows.size();
+      }
+      if (prefix_rows >= static_cast<size_t>(p.limit)) enough.store(true);
     }
   };
 
@@ -131,200 +203,85 @@ Status DriveMorsels(StorageEngine* engine, PageId first_page,
   return first_error;
 }
 
-/// Scans one morsel batch-at-a-time through the shared record loop (the
-/// predicate is applied inside it; UDF predicates cross once per batch)
-/// and hands each non-empty batch of rows that pass to `on_batch`. With
-/// `limit` >= 0 the morsel stops once it has produced `limit` rows; it
-/// also stops as soon as `*enough` is set.
-Status ScanMorselBatches(
-    TableHeap* heap, const std::vector<PageId>& pages, size_t page_begin,
-    size_t page_end, size_t batch_size, const ScanSpec* scan, UdfContext* ctx,
-    const QueryDeadline* deadline, int64_t limit,
-    const std::atomic<bool>* enough,
-    const std::function<Status(std::vector<Tuple>*)>& on_batch) {
-  const size_t batch_cap = batch_size > 0 ? batch_size : 1;
-  HeapScan records(heap->ScanPages(pages, page_begin, page_end), scan, ctx);
-  std::vector<Tuple> batch;
-  batch.reserve(batch_cap);
-  size_t produced = 0;
-  while (enough == nullptr || !enough->load()) {
-    size_t want = batch_cap;
-    if (limit >= 0) {
-      if (produced >= static_cast<size_t>(limit)) break;
-      want = std::min(want, static_cast<size_t>(limit) - produced);
+/// Combines the streams' sinks in stream order. A serial plan's one stream
+/// is taken as is: no merge.
+Result<std::vector<Tuple>> Combine(const Pipeline& p, bool parallel,
+                                   std::vector<Stream>* streams) {
+  const QueryDeadline* deadline = p.ctx->deadline();
+  if (p.aggregate != nullptr) {
+    if (!parallel) return (*streams)[0].partial->Finalize(deadline);
+    HashAggregator merged(p.aggregate);
+    for (Stream& s : *streams) {
+      JAGUAR_RETURN_IF_ERROR(merged.MergeFrom(s.partial.get(), deadline));
     }
-    // Per-batch cancellation point: an expired deadline stops this worker
-    // before the next round of (potentially expensive) UDF evaluation.
-    JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
-    batch.clear();
-    JAGUAR_ASSIGN_OR_RETURN(size_t read,
-                            records.Read(want, /*batched=*/true, &batch));
-    if (read == 0) break;
-    if (batch.empty()) continue;
-    produced += batch.size();
-    JAGUAR_RETURN_IF_ERROR(on_batch(&batch));
+    return merged.Finalize(deadline);
   }
-  return Status::OK();
+  if (p.order_key != nullptr) {
+    if (!parallel) return (*streams)[0].sorter->TakeRows();
+    std::vector<std::vector<Sorter::Entry>> runs;
+    runs.reserve(streams->size());
+    for (Stream& s : *streams) runs.push_back(s.sorter->TakeEntries());
+    return Sorter::MergeRuns(std::move(runs), p.descending, p.limit,
+                             deadline);
+  }
+  if (!parallel) return std::move((*streams)[0].rows);
+  const size_t limit =
+      p.limit >= 0 ? static_cast<size_t>(p.limit) : SIZE_MAX;
+  std::vector<Tuple> rows;
+  for (Stream& s : *streams) {
+    for (Tuple& t : s.rows) {
+      if (rows.size() >= limit) break;
+      rows.push_back(std::move(t));
+    }
+  }
+  static obs::Counter* tuples = Counter("exec.parallel.tuples");
+  tuples->Add(rows.size());
+  return rows;
 }
 
 }  // namespace
 
-Result<std::vector<Tuple>> RunParallelScan(const ParallelScanSpec& spec) {
-  if (spec.engine == nullptr || spec.scan == nullptr ||
-      spec.out_exprs == nullptr) {
-    return InvalidArgument("parallel scan spec is missing engine or exprs");
+Result<std::vector<Tuple>> RunPipeline(const Pipeline& p) {
+  const bool parallel = p.batched && p.num_workers > 1 && p.pick == nullptr;
+  std::optional<MorselPlan> morsels;
+  if (parallel) {
+    JAGUAR_ASSIGN_OR_RETURN(morsels,
+                            PlanMorsels(p.engine, p.first_page, p.num_workers));
   }
-  JAGUAR_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(spec.engine, spec.first_page,
-                                   spec.morsel_pages, spec.num_workers));
-
-  // One result slot per morsel: merging in morsel index order reproduces
-  // the serial scan order exactly, whichever worker ran which morsel.
-  // Under LIMIT, the completed morsel prefix (every morsel before the first
-  // unfinished one) is tracked; once it holds `limit` rows the merge can
-  // no longer reach past it, so dispensing stops and morsels still running
-  // beyond it give up.
-  std::vector<std::vector<Tuple>> morsel_results(plan.num_morsels);
-  std::atomic<bool> enough{false};
-  std::mutex prefix_mutex;
-  std::vector<char> finished(plan.num_morsels, 0);
-  size_t prefix = 0;
-  size_t prefix_rows = 0;
-  const std::atomic<bool>* stop_flag = spec.limit >= 0 ? &enough : nullptr;
-  JAGUAR_RETURN_IF_ERROR(DriveMorsels(
-      spec.engine, spec.first_page, plan, spec.callback_handler,
-      spec.callback_quota, spec.deadline,
-      [&](size_t m, size_t page_begin, size_t page_end, TableHeap* heap,
-          UdfContext* ctx) -> Status {
-        std::vector<Tuple>* out = &morsel_results[m];
-        JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
-            heap, plan.pages, page_begin, page_end, spec.batch_size,
-            spec.scan, ctx, spec.deadline, spec.limit, stop_flag,
-            [&](std::vector<Tuple>* survivors) -> Status {
-              std::vector<std::vector<Value>> columns;
-              columns.reserve(spec.out_exprs->size());
-              for (const BoundExprPtr& e : *spec.out_exprs) {
-                JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> column,
-                                        EvalBatch(*e, *survivors, ctx));
-                columns.push_back(std::move(column));
-              }
-              for (size_t row = 0; row < survivors->size(); ++row) {
-                std::vector<Value> values;
-                values.reserve(columns.size());
-                for (std::vector<Value>& column : columns) {
-                  values.push_back(std::move(column[row]));
-                }
-                out->push_back(Tuple(std::move(values)));
-              }
-              return Status::OK();
-            }));
-        if (stop_flag == nullptr) return Status::OK();
-        std::lock_guard<std::mutex> lock(prefix_mutex);
-        // A morsel cut short by `enough` lies past the covered prefix.
-        if (enough.load()) return Status::OK();
-        finished[m] = 1;
-        while (prefix < plan.num_morsels && finished[prefix]) {
-          prefix_rows += morsel_results[prefix++].size();
-        }
-        if (prefix_rows >= static_cast<size_t>(spec.limit)) {
-          enough.store(true);
-        }
-        return Status::OK();
-      },
-      stop_flag));
-
-  std::vector<Tuple> rows;
-  size_t total = 0;
-  for (const std::vector<Tuple>& chunk : morsel_results) total += chunk.size();
-  rows.reserve(total);
-  for (std::vector<Tuple>& chunk : morsel_results) {
-    if (spec.limit >= 0 && rows.size() >= static_cast<size_t>(spec.limit)) {
-      break;
-    }
-    for (Tuple& t : chunk) {
-      if (spec.limit >= 0 && rows.size() >= static_cast<size_t>(spec.limit)) {
-        break;
-      }
-      rows.push_back(std::move(t));
-    }
+  if (p.aggregate != nullptr) {
+    static obs::Counter* queries = Counter("exec.agg.queries");
+    static obs::Counter* parallel_queries =
+        Counter("exec.agg.parallel_queries");
+    queries->Add();
+    if (parallel) parallel_queries->Add();
+  } else if (p.order_key != nullptr) {
+    static obs::Counter* queries = Counter("exec.sort.queries");
+    static obs::Counter* parallel_queries =
+        Counter("exec.sort.parallel_queries");
+    static obs::Counter* topk_queries = Counter("exec.sort.topk_queries");
+    queries->Add();
+    if (parallel) parallel_queries->Add();
+    if (p.limit >= 0) topk_queries->Add();
   }
-  Metrics()->tuples->Add(rows.size());
-  return rows;
-}
 
-Result<std::vector<Tuple>> RunParallelAggregate(
-    const ParallelAggregateSpec& spec) {
-  if (spec.engine == nullptr || spec.scan == nullptr || spec.plan == nullptr) {
-    return InvalidArgument("parallel aggregate spec is missing engine or plan");
+  std::vector<Stream> streams;
+  if (parallel) {
+    JAGUAR_RETURN_IF_ERROR(RunMorsels(p, *morsels, &streams));
+  } else {
+    // LIMIT 0 collects nothing, so it opens no source (probes no index).
+    if (Collects(p) && p.limit == 0) return std::vector<Tuple>();
+    streams.resize(1);
+    TableHeap heap(p.engine, p.first_page);
+    std::vector<RecordId> rids;
+    JAGUAR_ASSIGN_OR_RETURN(
+        TableHeap::Iterator cursor,
+        OpenSource(&heap, p.pick, /*chain_order=*/p.aggregate != nullptr,
+                   &rids));
+    JAGUAR_RETURN_IF_ERROR(RunStream(p, std::move(cursor), p.ctx,
+                                     /*serial=*/true, /*run_id=*/0,
+                                     /*enough=*/nullptr, &streams[0]));
   }
-  JAGUAR_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(spec.engine, spec.first_page,
-                                   spec.morsel_pages, spec.num_workers));
-  Metrics()->agg_queries->Add();
-  Metrics()->agg_parallel_queries->Add();
-
-  // One partial aggregator per morsel. Merging the partials in morsel
-  // index order keeps min/max tie-breaks and float-sum addition order
-  // deterministic regardless of worker scheduling.
-  std::vector<std::unique_ptr<HashAggregator>> partials(plan.num_morsels);
-  JAGUAR_RETURN_IF_ERROR(DriveMorsels(
-      spec.engine, spec.first_page, plan, spec.callback_handler,
-      spec.callback_quota, spec.deadline,
-      [&](size_t m, size_t page_begin, size_t page_end, TableHeap* heap,
-          UdfContext* ctx) -> Status {
-        auto partial = std::make_unique<HashAggregator>(spec.plan);
-        JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
-            heap, plan.pages, page_begin, page_end, spec.batch_size,
-            spec.scan, ctx, spec.deadline, /*limit=*/-1, nullptr,
-            [&](std::vector<Tuple>* survivors) -> Status {
-              return partial->ConsumeBatch(*survivors, ctx);
-            }));
-        partials[m] = std::move(partial);
-        return Status::OK();
-      }));
-
-  HashAggregator merged(spec.plan);
-  for (std::unique_ptr<HashAggregator>& partial : partials) {
-    JAGUAR_RETURN_IF_ERROR(merged.MergeFrom(partial.get(), spec.deadline));
-  }
-  return merged.Finalize(spec.deadline);
-}
-
-Result<std::vector<Tuple>> RunParallelSort(const ParallelSortSpec& spec) {
-  if (spec.engine == nullptr || spec.scan == nullptr ||
-      spec.order_key == nullptr || spec.out_exprs == nullptr) {
-    return InvalidArgument("parallel sort spec is missing engine or exprs");
-  }
-  JAGUAR_ASSIGN_OR_RETURN(
-      MorselPlan plan, PlanMorsels(spec.engine, spec.first_page,
-                                   spec.morsel_pages, spec.num_workers));
-  Metrics()->sort_queries->Add();
-  Metrics()->sort_parallel_queries->Add();
-  if (spec.limit >= 0) Metrics()->sort_topk_queries->Add();
-
-  // One sorted run per morsel (run id = morsel index, so tie-breaks match
-  // serial scan order); each run is top-k-bounded when LIMIT is set.
-  std::vector<std::vector<Sorter::Entry>> runs(plan.num_morsels);
-  JAGUAR_RETURN_IF_ERROR(DriveMorsels(
-      spec.engine, spec.first_page, plan, spec.callback_handler,
-      spec.callback_quota, spec.deadline,
-      [&](size_t m, size_t page_begin, size_t page_end, TableHeap* heap,
-          UdfContext* ctx) -> Status {
-        Sorter sorter(spec.descending, spec.limit, /*run_id=*/m);
-        JAGUAR_RETURN_IF_ERROR(ScanMorselBatches(
-            heap, plan.pages, page_begin, page_end, spec.batch_size,
-            spec.scan, ctx, spec.deadline, /*limit=*/-1, nullptr,
-            [&](std::vector<Tuple>* survivors) -> Status {
-              return SortConsumeBatch(&sorter, *spec.order_key,
-                                      *spec.out_exprs, *survivors, ctx);
-            }));
-        JAGUAR_RETURN_IF_ERROR(sorter.Finish());
-        runs[m] = sorter.TakeEntries();
-        return Status::OK();
-      }));
-
-  return Sorter::MergeRuns(std::move(runs), spec.descending, spec.limit,
-                           spec.deadline);
+  return Combine(p, parallel, &streams);
 }
 
 }  // namespace exec

@@ -2,130 +2,108 @@
 #define JAGUAR_EXEC_PARALLEL_H_
 
 /// \file parallel.h
-/// Morsel-driven intra-query parallelism for scan, aggregation and sort.
+/// The one physical plan of every SELECT: a pipeline, and the code that
+/// runs it serially or on morsels.
 ///
-/// The table heap's page chain is split into fixed-size *morsels* (runs of
-/// consecutive pages); `num_workers` threads pull morsel indices from a
-/// shared atomic dispenser and push each morsel's records through the same
-/// record loop as the serial scan (exec/operators.h HeapScan: in-place
-/// reads, predicate columns decoded first, other columns only for rows
-/// that pass) — batch-at-a-time, so UDF calls cross their design's boundary
-/// once per batch exactly as in the serial vectorized path. Per-morsel results are combined in morsel index order, which makes
-/// every plan shape deterministic and byte-identical to serial execution:
-///   - scans merge per-morsel projected rows (LIMIT truncates after the
-///     merge and stops handing out morsels once it is covered),
-///   - aggregations build one partial hash table per morsel and merge the
-///     mergeable accumulators in morsel order (exec/aggregate.h),
-///   - sorts build one sorted run per morsel (bounded top-k under LIMIT)
-///     and k-way-merge the runs (exec/sort.h).
+///   source → HeapScan (WHERE or index residual inside) → sink → combine
 ///
-/// Shared state touched by workers (buffer pool, UDF runners + memo,
-/// metrics, the JagVM) is thread-safe; each worker gets its own TableHeap
-/// cursor and UdfContext (the callback quota applies per worker — contexts
-/// are per-invocation state).
+/// The source is a heap's chain, morsels of its page list, or an index
+/// probe's record ids (exec/index_scan.h `OpenSource`). Rows that pass the
+/// record loop (exec/operators.h) go to one sink per stream:
+///   - collect: the projection, stopping at LIMIT;
+///   - partial aggregate: a `HashAggregator` (exec/aggregate.h);
+///   - sorted run: a `Sorter` (exec/sort.h), a bounded top-k under LIMIT.
+/// The streams' results combine in stream order: concatenation cut at
+/// LIMIT, a merge of the partial aggregators, or a k-way merge of the runs.
+///
+/// A serial plan is exactly one stream over the whole source: its rows are
+/// the collected rows, its one aggregator is finalized with no merge and
+/// its run 0 is taken as is, so sums, MIN/MAX ties and the exec.agg.* and
+/// exec.sort.* counts are those of a single pass. Only the serial stream
+/// bumps `exec.<op>.tuples`: every record a heap scan reads as
+/// `exec.seqscan.tuples`, every row passing a WHERE clause or residual as
+/// `exec.filter.tuples`, and every collected row as `exec.project.tuples`
+/// (and `exec.limit.tuples` under LIMIT).
+///
+/// A plan runs parallel under the batch protocol, with `num_workers` > 1,
+/// over a heap source; an index source is always one stream. The page
+/// list (read from the heap directory) is split into morsels of
+/// `kMorselPages` consecutive pages; workers pull morsel indices from a
+/// shared atomic dispenser and run each morsel as a stream of its own
+/// (run id = morsel index). Combining in morsel index order makes every
+/// plan shape deterministic and byte-identical to serial execution (see
+/// aggregate.h for inexact double sums). Under LIMIT the collect sink stops
+/// once it has `limit` rows, and no morsel is handed out once the completed
+/// morsel prefix holds them. A plan with one morsel, or with room in the
+/// buffer pool for one worker's pins, runs on the calling thread.
+///
+/// Shared state touched by workers (buffer pool, UDF runners and memo,
+/// metrics, the JagVM) is thread-safe; each worker gets its own heap
+/// cursor and a copy of the plan's UdfContext (the callback quota applies
+/// per worker).
 ///
 /// Metrics:
-///   exec.parallel.queries   morsel-driven queries run (scan/agg/sort)
+///   exec.parallel.queries   plans run on morsels (scan, aggregate, sort)
 ///   exec.parallel.workers   worker threads launched (sums over queries)
-///   exec.parallel.morsels   morsels dispensed
-///   exec.parallel.tuples    tuples produced by parallel scans
+///   exec.parallel.morsels   morsels a parallel plan splits its pages into
+///   exec.parallel.tuples    rows a parallel collect sink returns
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/status.h"
 #include "exec/aggregate.h"
 #include "exec/expression.h"
+#include "exec/index_scan.h"
+#include "exec/operators.h"
 #include "exec/sort.h"
 #include "storage/storage_engine.h"
-#include "types/schema.h"
 #include "types/tuple.h"
 #include "udf/udf.h"
 
 namespace jaguar {
 namespace exec {
 
-struct ParallelScanSpec {
+/// Heap pages per morsel: small enough to balance skewed filters, large
+/// enough that the dispenser is not contended.
+inline constexpr size_t kMorselPages = 4;
+
+/// One SELECT's plan, bound once; morsel workers share it read-only.
+struct Pipeline {
   StorageEngine* engine = nullptr;
   PageId first_page = kInvalidPageId;
-  /// WHERE clause and column masks; every worker's record loop applies
-  /// them (see HeapScan).
+  /// An index source: the probe's survivors instead of the heap chain, in
+  /// (key, rid) order — or, for an aggregate, in heap-chain order, as the
+  /// heap plan meets them, so its sums and ties match that plan's exactly.
+  const IndexPick* pick = nullptr;
+  /// WHERE clause (or index residual) and column masks of the record loop.
   const ScanSpec* scan = nullptr;
-  /// Output expressions over the input schema (the projection).
-  const std::vector<BoundExprPtr>* out_exprs = nullptr;
-  /// Tuples per evaluation batch (the vectorized-execution batch size).
+  /// The batch protocol: each read takes `batch_size` records and each UDF
+  /// crosses its boundary once per batch. Otherwise a read takes one
+  /// record and each UDF is called once per row.
+  bool batched = false;
   size_t batch_size = 256;
-  /// Worker threads; must be >= 1 (1 degenerates to a serial scan). Fewer
-  /// run when there are fewer morsels, or fewer than the buffer pool can
-  /// pin for (see TableHeap::Iterator::kMaxPins).
-  size_t num_workers = 2;
-  /// Heap pages per morsel. Small enough to balance skewed filters, large
-  /// enough that the dispenser is not contended.
-  size_t morsel_pages = 4;
-  /// LIMIT: rows kept after the morsel-order merge (< 0 = all), which is
-  /// exactly the serial scan's first `limit` rows. A morsel stops once it
-  /// has `limit` rows, and no morsel is handed out once the completed
-  /// morsel prefix holds `limit` rows.
-  int64_t limit = -1;
-  /// Callback target for UDFs (each worker wraps it in its own UdfContext).
-  UdfCallbackHandler* callback_handler = nullptr;
-  /// Per-context callback quota (0 = unlimited).
-  uint64_t callback_quota = 0;
-  /// Query deadline; workers check it between batches and stop the scan
-  /// (first error wins) once it expires. Null or inactive = unbounded.
-  const QueryDeadline* deadline = nullptr;
-};
-
-/// Runs the parallel scan and returns the projected rows in serial scan
-/// order. The first worker error cancels the query and is returned.
-Result<std::vector<Tuple>> RunParallelScan(const ParallelScanSpec& spec);
-
-struct ParallelAggregateSpec {
-  StorageEngine* engine = nullptr;
-  PageId first_page = kInvalidPageId;
-  const ScanSpec* scan = nullptr;
-  /// Bound aggregate plan (group keys, specs, output layout); shared
-  /// read-only by all workers.
-  const AggregatePlan* plan = nullptr;
-  size_t batch_size = 256;
-  size_t num_workers = 2;
-  size_t morsel_pages = 4;
-  UdfCallbackHandler* callback_handler = nullptr;
-  uint64_t callback_quota = 0;
-  const QueryDeadline* deadline = nullptr;
-};
-
-/// Parallel grouped aggregation: one partial aggregator per morsel, merged
-/// in morsel index order, finalized into key-ordered output rows identical
-/// to the serial HashAggregateOp (see aggregate.h for the determinism and
-/// float-sum caveats).
-Result<std::vector<Tuple>> RunParallelAggregate(
-    const ParallelAggregateSpec& spec);
-
-struct ParallelSortSpec {
-  StorageEngine* engine = nullptr;
-  PageId first_page = kInvalidPageId;
-  const ScanSpec* scan = nullptr;
-  /// Sort key over the input schema.
+  /// Worker threads a parallel plan may run (see the file comment).
+  size_t num_workers = 1;
+  /// The sink: a partial aggregate with `aggregate`, else a sorted run with
+  /// `order_key`, else collect. `out_exprs` is the projection of the
+  /// collect and sorted-run sinks.
+  const AggregatePlan* aggregate = nullptr;
   const BoundExpr* order_key = nullptr;
   bool descending = false;
-  /// LIMIT (< 0 = all); each morsel run is top-k-bounded and the merge
-  /// stops after `limit` rows.
-  int64_t limit = -1;
-  /// Output expressions over the input schema (the projection).
   const std::vector<BoundExprPtr>* out_exprs = nullptr;
-  size_t batch_size = 256;
-  size_t num_workers = 2;
-  size_t morsel_pages = 4;
-  UdfCallbackHandler* callback_handler = nullptr;
-  uint64_t callback_quota = 0;
-  const QueryDeadline* deadline = nullptr;
+  /// LIMIT (< 0 = none) of the collect and sorted-run sinks.
+  int64_t limit = -1;
+  /// Serves UDF callbacks and carries the deadline, checked before every
+  /// read; morsel workers each run a copy. Must not be null.
+  UdfContext* ctx = nullptr;
 };
 
-/// Parallel ORDER BY: one sorted run per morsel (run id = morsel index),
-/// k-way merged into output byte-identical to the serial sort.
-Result<std::vector<Tuple>> RunParallelSort(const ParallelSortSpec& spec);
+/// Runs `plan`. Rows come in scan order (collect; an index source's order
+/// for index plans), group-key byte order (aggregate) or sort order. The
+/// first error, a worker's included, cancels the plan and is returned.
+Result<std::vector<Tuple>> RunPipeline(const Pipeline& plan);
 
 }  // namespace exec
 }  // namespace jaguar

@@ -13,7 +13,6 @@ namespace {
 
 struct SortMetricsCounters {
   obs::Counter* queries;
-  obs::Counter* parallel_queries;
   obs::Counter* rows;
   obs::Counter* topk_queries;
   obs::Counter* runs_merged;
@@ -24,7 +23,6 @@ SortMetricsCounters* SortMetrics() {
     obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
     return new SortMetricsCounters{
         reg->GetCounter("exec.sort.queries"),
-        reg->GetCounter("exec.sort.parallel_queries"),
         reg->GetCounter("exec.sort.rows"),
         reg->GetCounter("exec.sort.topk_queries"),
         reg->GetCounter("exec.sort.runs_merged"),
@@ -159,128 +157,22 @@ Result<std::vector<Tuple>> Sorter::MergeRuns(
   return out;
 }
 
-Status SortConsumeBatch(Sorter* sorter, const BoundExpr& key,
-                        const std::vector<BoundExprPtr>& out_exprs,
-                        const std::vector<Tuple>& tuples, UdfContext* ctx) {
-  if (tuples.empty()) return Status::OK();
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> keys,
-                          EvalBatch(key, tuples, ctx));
-  std::vector<std::vector<Value>> cols;
-  cols.reserve(out_exprs.size());
-  for (const BoundExprPtr& e : out_exprs) {
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> col,
-                            EvalBatch(*e, tuples, ctx));
-    cols.push_back(std::move(col));
-  }
-  for (size_t row = 0; row < tuples.size(); ++row) {
-    std::vector<Value> out;
-    out.reserve(cols.size());
-    for (std::vector<Value>& col : cols) out.push_back(std::move(col[row]));
-    sorter->Add(std::move(keys[row]), Tuple(std::move(out)));
-  }
-  return Status::OK();
-}
-
 Result<std::vector<Tuple>> SortRows(std::vector<Tuple> rows,
                                     const BoundExpr& key, bool descending,
                                     int64_t limit, UdfContext* ctx,
-                                    size_t batch_size,
+                                    bool batched,
                                     const QueryDeadline* deadline) {
   SortMetrics()->queries->Add();
   if (limit >= 0) SortMetrics()->topk_queries->Add();
+  JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
+  std::vector<Value> keys;
+  JAGUAR_RETURN_IF_ERROR(EvalRows({&key}, rows, batched, ctx, &keys));
   Sorter sorter(descending, limit);
-  if (batch_size > 0) {
-    if (!rows.empty()) {
-      JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
-      JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> keys,
-                              EvalBatch(key, rows, ctx));
-      for (size_t i = 0; i < rows.size(); ++i) {
-        sorter.Add(std::move(keys[i]), std::move(rows[i]));
-      }
-    }
-  } else {
-    size_t n = 0;
-    for (Tuple& row : rows) {
-      if ((++n & 1023) == 0) {
-        JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
-      }
-      JAGUAR_ASSIGN_OR_RETURN(Value k, Eval(key, row, ctx));
-      sorter.Add(std::move(k), std::move(row));
-    }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    sorter.Add(std::move(keys[i]), std::move(rows[i]));
   }
   JAGUAR_RETURN_IF_ERROR(sorter.Finish());
   return sorter.TakeRows();
-}
-
-// ---------------------------------------------------------------------------
-// SortOp
-// ---------------------------------------------------------------------------
-
-SortOp::SortOp(OperatorPtr child, BoundExprPtr order_key,
-               std::vector<BoundExprPtr> out_exprs, Schema out_schema,
-               bool descending, int64_t limit, UdfContext* ctx,
-               size_t batch_size, const QueryDeadline* deadline)
-    : child_(std::move(child)),
-      order_key_(std::move(order_key)),
-      out_exprs_(std::move(out_exprs)),
-      schema_(std::move(out_schema)),
-      limit_(limit),
-      ctx_(ctx),
-      batch_size_(batch_size),
-      deadline_(deadline),
-      sorter_(descending, limit) {}
-
-Status SortOp::DrainChild() {
-  if (drained_) return Status::OK();
-  drained_ = true;
-  SortMetrics()->queries->Add();
-  if (limit_ >= 0) SortMetrics()->topk_queries->Add();
-  if (batch_size_ > 0) {
-    TupleBatch batch(batch_size_);
-    while (true) {
-      JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline_));
-      JAGUAR_RETURN_IF_ERROR(child_->NextBatch(&batch));
-      if (batch.empty()) break;
-      JAGUAR_RETURN_IF_ERROR(SortConsumeBatch(&sorter_, *order_key_,
-                                              out_exprs_, batch.tuples(),
-                                              ctx_));
-    }
-  } else {
-    size_t n = 0;
-    while (true) {
-      if ((++n & 255) == 0) {
-        JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline_));
-      }
-      JAGUAR_ASSIGN_OR_RETURN(auto t, child_->Next());
-      if (!t.has_value()) break;
-      JAGUAR_ASSIGN_OR_RETURN(Value k, Eval(*order_key_, *t, ctx_));
-      std::vector<Value> out;
-      out.reserve(out_exprs_.size());
-      for (const BoundExprPtr& e : out_exprs_) {
-        JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*e, *t, ctx_));
-        out.push_back(std::move(v));
-      }
-      sorter_.Add(std::move(k), Tuple(std::move(out)));
-    }
-  }
-  JAGUAR_RETURN_IF_ERROR(sorter_.Finish());
-  rows_ = sorter_.TakeRows();
-  return Status::OK();
-}
-
-Result<std::optional<Tuple>> SortOp::Next() {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  if (emit_pos_ >= rows_.size()) return std::optional<Tuple>();
-  return std::optional<Tuple>(std::move(rows_[emit_pos_++]));
-}
-
-Status SortOp::NextBatch(TupleBatch* out) {
-  JAGUAR_RETURN_IF_ERROR(DrainChild());
-  out->Clear();
-  while (emit_pos_ < rows_.size() && !out->full()) {
-    out->Add(std::move(rows_[emit_pos_++]));
-  }
-  return Status::OK();
 }
 
 }  // namespace exec

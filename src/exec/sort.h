@@ -2,15 +2,16 @@
 #define JAGUAR_EXEC_SORT_H_
 
 /// \file sort.h
-/// Vectorized ORDER BY: a `Sorter` collects (key, projected row) pairs —
-/// keys and output expressions are evaluated batch-at-a-time, so UDFs in
-/// either cross their design's boundary once per batch — and orders them
-/// under a strict total order that reproduces the engine's historical
-/// semantics exactly: ascending = (NULL-first key, scan position),
-/// descending = the exact reverse. Because scan position breaks every tie,
-/// the order is deterministic and a parallel plan that sorts morsel-local
-/// runs (run id = morsel index, position = row within the morsel) and
-/// k-way-merges them produces byte-identical output to the serial sort.
+/// ORDER BY: a `Sorter` — the pipeline's sorted-run sink — collects (key,
+/// projected row) pairs (evaluated batch-at-a-time under the batch
+/// protocol, so UDFs in either cross their design's boundary once per
+/// batch) and orders them under a strict total order that reproduces the
+/// engine's historical semantics exactly: ascending = (NULL-first key,
+/// scan position), descending = the exact reverse. Because scan position
+/// breaks every tie, the order is deterministic: a serial plan takes its
+/// one run 0 as is, and a parallel plan that sorts morsel-local runs (run
+/// id = morsel index, position = row within the morsel) and k-way-merges
+/// them produces byte-identical output.
 ///
 /// With LIMIT n the sorter switches to a bounded top-k heap: only the n
 /// best entries are retained while consuming input, instead of
@@ -29,7 +30,6 @@
 #include "common/deadline.h"
 #include "common/status.h"
 #include "exec/expression.h"
-#include "exec/operators.h"
 #include "types/schema.h"
 #include "types/tuple.h"
 #include "udf/udf.h"
@@ -88,52 +88,14 @@ class Sorter {
   std::vector<Entry> entries_;  ///< Heap-ordered while bounded.
 };
 
-/// Evaluates `key` and `out_exprs` over a batch of input tuples (one
-/// boundary crossing per batch for UDFs in either) and feeds the projected
-/// rows into `sorter`. Shared by SortOp and the parallel morsel workers.
-Status SortConsumeBatch(Sorter* sorter, const BoundExpr& key,
-                        const std::vector<BoundExprPtr>& out_exprs,
-                        const std::vector<Tuple>& tuples, UdfContext* ctx);
-
 /// Sorts already-materialized rows by `key` bound against their schema —
-/// the ORDER-BY-over-aggregate-output path. `limit` >= 0 truncates (top-k);
-/// `batch_size` 0 evaluates the key per row instead of batch-at-a-time.
+/// the ORDER-BY-over-aggregate-output path. `limit` >= 0 truncates (top-k).
+/// The key is evaluated by `EvalRows` over all rows as one batch.
 Result<std::vector<Tuple>> SortRows(std::vector<Tuple> rows,
                                     const BoundExpr& key, bool descending,
                                     int64_t limit, UdfContext* ctx,
-                                    size_t batch_size,
+                                    bool batched,
                                     const QueryDeadline* deadline);
-
-/// Pull-operator for the serial engine path: drains its child, sorts
-/// (key, projected row) pairs, and emits the projected rows in order.
-/// `batch_size` 0 selects the per-tuple scalar pipeline.
-class SortOp : public Operator {
- public:
-  SortOp(OperatorPtr child, BoundExprPtr order_key,
-         std::vector<BoundExprPtr> out_exprs, Schema out_schema,
-         bool descending, int64_t limit, UdfContext* ctx, size_t batch_size,
-         const QueryDeadline* deadline);
-
-  Result<std::optional<Tuple>> Next() override;
-  Status NextBatch(TupleBatch* out) override;
-  const Schema& schema() const override { return schema_; }
-
- private:
-  Status DrainChild();
-
-  OperatorPtr child_;
-  BoundExprPtr order_key_;
-  std::vector<BoundExprPtr> out_exprs_;
-  Schema schema_;
-  int64_t limit_;
-  UdfContext* ctx_;
-  size_t batch_size_;
-  const QueryDeadline* deadline_;
-  Sorter sorter_;
-  bool drained_ = false;
-  std::vector<Tuple> rows_;
-  size_t emit_pos_ = 0;
-};
 
 }  // namespace exec
 }  // namespace jaguar

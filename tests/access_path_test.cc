@@ -16,8 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -25,25 +23,10 @@
 #include "engine/database.h"
 #include "index/btree.h"
 #include "storage/table_heap.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace {
-
-std::string TempPath(const std::string& tag) {
-  std::string name =
-      ::testing::UnitTest::GetInstance()->current_test_info()->name();
-  std::replace(name.begin(), name.end(), '/', '_');
-  return (std::filesystem::temp_directory_path() /
-          ("jaguar_access_path_" + std::to_string(::getpid()) + "_" + name +
-           "_" + tag + ".db"))
-      .string();
-}
-
-void RemoveDb(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".wal").c_str());
-  std::remove((path + ".wal.tmp").c_str());
-}
 
 uint64_t Delta(const QueryResult& r, const std::string& name) {
   auto it = r.metrics_delta.find(name);
@@ -110,9 +93,7 @@ class AccessPathTest : public ::testing::TestWithParam<bool> {
     options.vectorized_execution = GetParam();
     options.batch_size = 8;
     for (int c = 0; c < 2; ++c) {
-      paths_[c] = TempPath(c == 0 ? "plain" : "indexed");
-      RemoveDb(paths_[c]);
-      dbs_[c] = Database::Open(paths_[c], options).value();
+      dbs_[c] = Database::Open(files_[c].path(), options).value();
       Database* db = dbs_[c].get();
       ASSERT_TRUE(db->RegisterUdf(GenericUdf()).ok());
       Must(db, "CREATE TABLE t (id INT, name STRING, v INT, b BYTEARRAY)");
@@ -143,7 +124,6 @@ class AccessPathTest : public ::testing::TestWithParam<bool> {
         EXPECT_EQ(dbs_[c]->storage()->buffer_pool()->pinned_frames(), 0u);
       }
       dbs_[c].reset();
-      RemoveDb(paths_[c]);
     }
   }
 
@@ -178,7 +158,8 @@ class AccessPathTest : public ::testing::TestWithParam<bool> {
     }
   }
 
-  std::string paths_[2];
+  TempDb files_[2] = {TempDb("access_path_plain"),
+                      TempDb("access_path_indexed")};
   std::unique_ptr<Database> dbs_[2];
 };
 
@@ -337,6 +318,108 @@ TEST_P(AccessPathTest, DanglingIndexEntryIsCorruption) {
   }
 }
 
+TEST_P(AccessPathTest, CountByKeyProbesTheIndex) {
+  auto [p, x] = Both("SELECT COUNT(*) FROM t WHERE id = 3");
+  ASSERT_EQ(x.rows.size(), 1u);
+  EXPECT_EQ(x.rows[0].value(0).AsInt(), 1);
+  EXPECT_EQ(Delta(x, "exec.index.scans"), 1u);
+  EXPECT_EQ(Delta(x, "exec.index.lookups"), 1u);
+  EXPECT_EQ(Delta(x, "exec.seqscan.tuples"), 0u);
+  EXPECT_EQ(Delta(p, "exec.seqscan.tuples"), static_cast<uint64_t>(kRows));
+}
+
+TEST_P(AccessPathTest, AggregatesOverTheIndexMatchTheHeapPlan) {
+  // d's keys are a permutation of 0..199, so key order is not heap order,
+  // and x's sums are inexact: only survivors read in heap-chain order add
+  // up to the heap plan's doubles bit for bit.
+  for (Database* db : {plain(), indexed()}) {
+    Must(db, "CREATE TABLE d (id INT, g INT, x DOUBLE)");
+    std::string sql = "INSERT INTO d VALUES ";
+    for (int i = 0; i < kRows; ++i) {
+      if (i > 0) sql += ", ";
+      sql += StringPrintf("(%d, %d, %d.1 / 3.0)", (i * 73) % kRows, i % 5, i);
+    }
+    Must(db, sql);
+  }
+  Must(indexed(), "CREATE INDEX d_id ON d (id)");
+
+  const std::string aggs =
+      "COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), SUM(id), MIN(id)";
+  for (const std::string where :
+       {"id = 42", "id >= 20 AND id < 150 AND id >= 30 AND id <= 140",
+        "-5 < id AND id < 100"}) {
+    for (const std::string& sql :
+         {"SELECT " + aggs + " FROM d WHERE " + where,
+          "SELECT g, " + aggs + " FROM d WHERE " + where + " GROUP BY g",
+          "SELECT g, SUM(x) FROM d WHERE " + where +
+              " GROUP BY g ORDER BY g DESC LIMIT 3"}) {
+      SCOPED_TRACE(sql);
+      QueryResult p = Must(plain(), sql);
+      QueryResult x = Must(indexed(), sql);
+      EXPECT_FALSE(x.rows.empty());
+      EXPECT_EQ(SerializedRows(x), SerializedRows(p));
+      EXPECT_EQ(Delta(x, "exec.index.scans"), 1u);
+      EXPECT_EQ(Delta(x, "exec.seqscan.tuples"), 0u);
+      EXPECT_EQ(Delta(p, "exec.seqscan.tuples"), static_cast<uint64_t>(kRows));
+    }
+  }
+
+  // A contradictory range probes the tree and fetches no heap page: the
+  // same index pages as an empty range probed from the same key.
+  const std::string empty_sql =
+      "SELECT COUNT(*), SUM(x), MIN(x) FROM d WHERE id > 10 AND id < 5";
+  QueryResult p = Must(plain(), empty_sql);
+  QueryResult empty = Must(indexed(), empty_sql);
+  EXPECT_EQ(SerializedRows(empty), SerializedRows(p));
+  EXPECT_EQ(empty.rows[0].ToString(), "(0, NULL, NULL)");
+  EXPECT_EQ(Delta(empty, "exec.index.scans"), 1u);
+  EXPECT_EQ(Delta(empty, "exec.index.lookups"), 0u);
+  QueryResult probe =
+      Must(indexed(), "SELECT COUNT(*) FROM d WHERE id > 10 AND id < 11");
+  EXPECT_EQ(probe.rows[0].value(0).AsInt(), 0);
+  EXPECT_EQ(PagesFetched(empty), PagesFetched(probe));
+}
+
+TEST_P(AccessPathTest, AggregateUdfResidualRunsOnlyOnIndexSurvivors) {
+  // The UDF conjunct is written first; the index still runs before it.
+  const std::string where =
+      "g(b, 0, 1, 0) % 2 = 0 AND id >= 30 AND id < 50";
+  for (const std::string& sql :
+       {"SELECT COUNT(*), SUM(v), MIN(name), MAX(v) FROM t WHERE " + where,
+        "SELECT v, COUNT(*), AVG(id) FROM t WHERE " + where + " GROUP BY v"}) {
+    SCOPED_TRACE(sql);
+    QueryResult p = Must(plain(), sql);
+    QueryResult x = Must(indexed(), sql);
+    EXPECT_EQ(SerializedRows(x), SerializedRows(p));
+    EXPECT_EQ(Delta(x, "exec.index.lookups"), 20u);
+    EXPECT_EQ(UdfInvocations(x), 20u);
+    EXPECT_EQ(UdfInvocations(p), static_cast<uint64_t>(kRows));
+  }
+}
+
+TEST_P(AccessPathTest, ResidualUdfKeepsItsBatchesOverTheIndex) {
+  // The residual runs in the record loop over the index's record list: one
+  // crossing per batch of 8 survivors under the batch protocol, one call
+  // per survivor either way, and exactly the survivors count as filtered.
+  const std::string sql =
+      "SELECT id FROM t WHERE id >= 50 AND id < 70 AND g(b, 0, 0, 0) = 0";
+  QueryResult x = Must(indexed(), sql);
+  ASSERT_EQ(x.rows.size(), 20u);
+  EXPECT_EQ(UdfInvocations(x), 20u);
+  EXPECT_EQ(Delta(x, "udf.batch.invocations"), GetParam() ? 3u : 0u);
+  EXPECT_EQ(Delta(x, "exec.filter.tuples"), 20u);
+  EXPECT_EQ(Delta(x, "exec.seqscan.tuples"), 0u);
+
+  // Under LIMIT the UDF runs on no row past the limit: 8 + 3 rows in
+  // batches, as many as the tuple-at-a-time plan calls it on.
+  QueryResult limited = Must(indexed(), sql + " LIMIT 11");
+  ASSERT_EQ(limited.rows.size(), 11u);
+  EXPECT_EQ(UdfInvocations(limited), 11u);
+  EXPECT_EQ(Delta(limited, "udf.batch.invocations"), GetParam() ? 2u : 0u);
+  EXPECT_EQ(Delta(limited, "exec.filter.tuples"), 11u);
+  EXPECT_EQ(Delta(limited, "exec.limit.tuples"), 11u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Plans, AccessPathTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "vectorized" : "tuple";
@@ -352,13 +435,12 @@ TEST(AccessPathParallelTest, CountFetchesNoMorePagesThanSerial) {
   QueryResult serial_result;
   for (size_t workers : {1, 2, 4}) {
     SCOPED_TRACE(std::to_string(workers) + " workers");
-    const std::string path = TempPath(std::to_string(workers));
-    RemoveDb(path);
+    TempDb db_file("access_path_" + std::to_string(workers));
     DatabaseOptions options;
     options.buffer_pool_pages = 32;
     options.vectorized_execution = true;
     options.num_workers = workers;
-    auto db = Database::Open(path, options).value();
+    auto db = Database::Open(db_file.path(), options).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE big (id INT, b BYTEARRAY)").ok());
     for (int start = 0; start < kBigRows; start += 40) {
       std::string sql = "INSERT INTO big VALUES ";
@@ -384,9 +466,41 @@ TEST(AccessPathParallelTest, CountFetchesNoMorePagesThanSerial) {
       EXPECT_LE(PagesFetched(*r), PagesFetched(serial_result));
     }
     EXPECT_EQ(db->storage()->buffer_pool()->pinned_frames(), 0u);
-    db.reset();
-    RemoveDb(path);
   }
+}
+
+TEST(AccessPathParallelTest, IndexPickedAggregateRunsAsOneStream) {
+  TempDb db_file("access_path_one_stream");
+  DatabaseOptions options;
+  options.vectorized_execution = true;
+  options.num_workers = 4;
+  auto db = Database::Open(db_file.path(), options).value();
+  ASSERT_TRUE(db->Execute("CREATE TABLE big (id INT, b BYTEARRAY)").ok());
+  for (int start = 0; start < 400; start += 40) {
+    std::string sql = "INSERT INTO big VALUES ";
+    for (int i = start; i < start + 40; ++i) {
+      if (i > start) sql += ", ";
+      sql += StringPrintf("(%d, randbytes(1000, %d))", i, i);
+    }
+    ASSERT_TRUE(db->Execute(sql).ok());
+  }
+  ASSERT_TRUE(db->Execute("CREATE INDEX big_id ON big (id)").ok());
+
+  // A heap plan over the same table runs on morsels.
+  QueryResult heap = db->Execute("SELECT COUNT(*), SUM(id) FROM big").value();
+  EXPECT_EQ(heap.rows[0].ToString(), "(400, 79800)");
+  EXPECT_EQ(Delta(heap, "exec.parallel.queries"), 1u);
+
+  QueryResult index = db->Execute(
+      "SELECT COUNT(*), SUM(id) FROM big WHERE id >= 100 AND id < 300")
+                          .value();
+  EXPECT_EQ(index.rows[0].ToString(), "(200, 39900)");
+  EXPECT_EQ(Delta(index, "exec.index.scans"), 1u);
+  EXPECT_EQ(Delta(index, "exec.parallel.queries"), 0u);
+  EXPECT_EQ(Delta(index, "exec.agg.queries"), 1u);
+  EXPECT_EQ(Delta(index, "exec.agg.parallel_queries"), 0u);
+  EXPECT_EQ(Delta(index, "exec.agg.partial_merges"), 0u);
+  EXPECT_EQ(db->storage()->buffer_pool()->pinned_frames(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-// Unit tests for the vectorized aggregation (exec/aggregate) and sort
-// (exec/sort) building blocks, below the engine facade: partial-aggregator
-// merges must equal a single-pass build, the operator must agree across
-// batch sizes (including the scalar pipeline), the bounded top-k heap must
-// equal the full sort's prefix, run merging must equal a single-run sort,
-// and expired deadlines must cut the merge/finalize loops off.
+// Unit tests for the aggregation (exec/aggregate) and sort (exec/sort)
+// sinks, below the engine facade: partial-aggregator merges must equal a
+// single-pass build, the pipeline's aggregate and sorted-run sinks must
+// agree tuple at a time, across batch sizes and across morsels, the bounded
+// top-k heap must equal the full sort's prefix, run merging must equal a
+// single-run sort, and expired deadlines must cut the merge/finalize loops
+// off.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +15,13 @@
 
 #include "common/deadline.h"
 #include "exec/aggregate.h"
+#include "exec/parallel.h"
 #include "exec/sort.h"
+#include "obs/metrics.h"
 #include "sql/parser.h"
+#include "storage/storage_engine.h"
+#include "storage/table_heap.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace exec {
@@ -61,7 +67,7 @@ TEST(AggregateUnitTest, PartialMergeMatchesSinglePass) {
 
   HashAggregator single(&plan);
   for (const Tuple& t : rows) {
-    ASSERT_TRUE(single.ConsumeTuple(t, nullptr).ok());
+    ASSERT_TRUE(single.Consume({t}, /*batched=*/false, nullptr).ok());
   }
   std::vector<std::vector<uint8_t>> expect =
       Serialized(single.Finalize(nullptr).value());
@@ -74,8 +80,7 @@ TEST(AggregateUnitTest, PartialMergeMatchesSinglePass) {
     for (size_t p = 0; p < parts; ++p) partials.emplace_back(&plan);
     for (size_t i = 0; i < rows.size(); ++i) {
       size_t p = i * parts / rows.size();
-      ASSERT_TRUE(
-          partials[p].ConsumeBatch({rows[i]}, nullptr).ok());
+      ASSERT_TRUE(partials[p].Consume({rows[i]}, /*batched=*/true, nullptr).ok());
     }
     for (size_t p = 1; p < parts; ++p) {
       ASSERT_TRUE(partials[0].MergeFrom(&partials[p], nullptr).ok());
@@ -86,45 +91,86 @@ TEST(AggregateUnitTest, PartialMergeMatchesSinglePass) {
   }
 }
 
-/// Serves a fixed vector of tuples — a storage-free operator child.
-class VectorOp : public Operator {
- public:
-  VectorOp(std::vector<Tuple> rows, Schema schema)
-      : rows_(std::move(rows)), schema_(std::move(schema)) {}
+/// Rows of the heap-backed tests: enough chain pages for several morsels.
+constexpr int kHeapRows = 1500;
 
-  Result<std::optional<Tuple>> Next() override {
-    if (pos_ >= rows_.size()) return std::optional<Tuple>();
-    return std::optional<Tuple>(rows_[pos_++]);
+/// `rows` stored in a table heap of RowSchema(), for plans that run the
+/// whole pipeline (exec/parallel.h) over them.
+class RowTable {
+ public:
+  explicit RowTable(const std::vector<Tuple>& rows) : db_("agg_sort") {
+    engine_ = StorageEngine::Open(db_.path()).value();
+    first_page_ = TableHeap::Create(engine_.get()).value();
+    TableHeap heap(engine_.get(), first_page_);
+    for (const Tuple& t : rows) {
+      EXPECT_TRUE(heap.Insert(Slice(t.Serialize())).ok());
+    }
   }
-  const Schema& schema() const override { return schema_; }
+  ~RowTable() { engine_->Close().ok(); }
+
+  /// Runs an aggregate (`plan`) or a sorted-run (`order_key`, projecting
+  /// every column) plan over the table; `batch_size` 0 runs it tuple at a
+  /// time.
+  Result<std::vector<Tuple>> Run(const AggregatePlan* plan,
+                                 const BoundExpr* order_key, bool descending,
+                                 int64_t limit, size_t batch_size,
+                                 size_t workers = 1) {
+    std::vector<BoundExprPtr> columns;
+    for (size_t i = 0; i < RowSchema().num_columns(); ++i) {
+      auto col = std::make_unique<BoundExpr>();
+      col->kind = BoundExprKind::kColumn;
+      col->column_index = i;
+      col->result_type = RowSchema().column(i).type;
+      columns.push_back(std::move(col));
+    }
+    const ScanSpec spec = ScanSpec::Make(nullptr, ColumnMask::All());
+    UdfContext ctx(nullptr);
+    obs::Counter* morsels =
+        obs::MetricsRegistry::Global()->GetCounter("exec.parallel.morsels");
+    const uint64_t morsels_before = morsels->value();
+    Pipeline p;
+    p.engine = engine_.get();
+    p.first_page = first_page_;
+    p.scan = &spec;
+    p.batched = batch_size > 0;
+    p.batch_size = batch_size;
+    p.num_workers = workers;
+    p.aggregate = plan;
+    p.order_key = order_key;
+    p.descending = descending;
+    p.out_exprs = &columns;
+    p.limit = limit;
+    p.ctx = &ctx;
+    Result<std::vector<Tuple>> rows = RunPipeline(p);
+    // The table spans several morsels, so a parallel plan merges.
+    if (workers > 1 && batch_size > 0) {
+      EXPECT_GE(morsels->value() - morsels_before, 2u);
+    }
+    return rows;
+  }
 
  private:
-  std::vector<Tuple> rows_;
-  size_t pos_ = 0;
-  Schema schema_;
+  TempDb db_;
+  std::unique_ptr<StorageEngine> engine_;
+  PageId first_page_ = kInvalidPageId;
 };
 
 TEST(AggregateUnitTest, OpAgreesAcrossBatchSizesAndScalarPath) {
+  // The aggregate sink over a heap: tuple at a time, batched at sizes 1, 3
+  // and 256, and as 4-worker morsels (partials merged in morsel order).
   AggregatePlan plan = MustPlan(kGroupedSql);
-  std::vector<Tuple> rows = MakeRows(50);
+  RowTable table(MakeRows(kHeapRows));
 
-  // batch_size 0 = the scalar per-tuple pipeline; the rest vectorized.
-  std::vector<std::vector<uint8_t>> expect;
-  for (size_t batch_size : {size_t{0}, size_t{1}, size_t{3}, size_t{256}}) {
-    HashAggregateOp op(std::make_unique<VectorOp>(rows, RowSchema()), &plan,
-                       nullptr, batch_size, nullptr);
-    std::vector<Tuple> got;
-    TupleBatch batch(16);
-    while (true) {
-      ASSERT_TRUE(op.NextBatch(&batch).ok());
-      if (batch.empty()) break;
-      for (Tuple& t : batch.tuples()) got.push_back(std::move(t));
-    }
-    if (expect.empty()) {
-      expect = Serialized(got);
-      ASSERT_EQ(expect.size(), 4u);
-    } else {
-      EXPECT_EQ(Serialized(got), expect) << "batch size " << batch_size;
+  std::vector<std::vector<uint8_t>> expect =
+      Serialized(table.Run(&plan, nullptr, false, -1, 0).value());
+  ASSERT_EQ(expect.size(), 4u);
+  for (size_t workers : {size_t{1}, size_t{4}}) {
+    for (size_t batch_size : {size_t{1}, size_t{3}, size_t{256}}) {
+      Result<std::vector<Tuple>> got =
+          table.Run(&plan, nullptr, false, -1, batch_size, workers);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(Serialized(*got), expect)
+          << "batch size " << batch_size << ", " << workers << " workers";
     }
   }
 }
@@ -155,8 +201,8 @@ TEST(AggregateUnitTest, MergeAndFinalizeHonorExpiredDeadline) {
   HashAggregator b(&plan);
   for (int i = 0; i < 3000; ++i) {
     Tuple row({Value::Int(0), Value::Int(i), Value::Null()});
-    ASSERT_TRUE(a.ConsumeTuple(row, nullptr).ok());
-    ASSERT_TRUE(b.ConsumeTuple(row, nullptr).ok());
+    ASSERT_TRUE(a.Consume({row}, /*batched=*/false, nullptr).ok());
+    ASSERT_TRUE(b.Consume({row}, /*batched=*/false, nullptr).ok());
   }
   QueryDeadline expired = QueryDeadline::After(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -247,25 +293,34 @@ TEST(SortUnitTest, MergeRunsMatchesSingleRunSort) {
 TEST(SortUnitTest, SortRowsAgreesAcrossBatchSizesAndLimits) {
   sql::ExprPtr expr = sql::ParseExpression("v").value();
   BoundExprPtr key = Bind(*expr, RowSchema(), "t", "", nullptr).value();
-  std::vector<Tuple> rows = MakeRows(30);
+  std::vector<Tuple> rows = MakeRows(kHeapRows);
+  RowTable table(rows);
 
   for (bool descending : {false, true}) {
     for (int64_t limit : {int64_t{-1}, int64_t{4}}) {
-      std::vector<std::vector<uint8_t>> expect;
-      // batch_size 0 = scalar per-row key eval; the rest one EvalBatch.
-      for (size_t batch_size : {size_t{0}, size_t{8}, size_t{256}}) {
-        std::vector<Tuple> got =
-            SortRows(rows, *key, descending, limit, nullptr, batch_size,
-                     nullptr)
-                .value();
-        if (expect.empty()) {
-          expect = Serialized(got);
-          EXPECT_EQ(expect.size(),
-                    limit < 0 ? rows.size() : static_cast<size_t>(limit));
-        } else {
-          EXPECT_EQ(Serialized(got), expect)
-              << "desc=" << descending << " k=" << limit << " batch "
-              << batch_size;
+      SCOPED_TRACE("desc=" + std::to_string(descending) +
+                   " k=" + std::to_string(limit));
+      // SortRows, per-row key evaluation and one batch.
+      std::vector<std::vector<uint8_t>> expect = Serialized(
+          SortRows(rows, *key, descending, limit, nullptr,
+                   /*batched=*/false, nullptr)
+              .value());
+      EXPECT_EQ(expect.size(),
+                limit < 0 ? rows.size() : static_cast<size_t>(limit));
+      EXPECT_EQ(Serialized(SortRows(rows, *key, descending, limit, nullptr,
+                                    /*batched=*/true, nullptr)
+                               .value()),
+                expect);
+      // The sorted-run sink over the same rows in a heap: tuple at a time,
+      // at every batch size, and as 4-worker morsel runs.
+      for (size_t workers : {size_t{1}, size_t{4}}) {
+        for (size_t batch_size : {size_t{0}, size_t{1}, size_t{3},
+                                  size_t{256}}) {
+          Result<std::vector<Tuple>> got = table.Run(
+              nullptr, key.get(), descending, limit, batch_size, workers);
+          ASSERT_TRUE(got.ok()) << got.status();
+          EXPECT_EQ(Serialized(*got), expect)
+              << "batch " << batch_size << ", " << workers << " workers";
         }
       }
     }

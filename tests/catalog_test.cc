@@ -3,11 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 
 #include "catalog/catalog.h"
 #include "common/random.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace {
@@ -15,19 +14,12 @@ namespace {
 class CatalogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_catalog_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     Open();
   }
   void TearDown() override {
     catalog_.reset();
     engine_->Close().ok();
     engine_.reset();
-    std::remove(path_.c_str());
   }
 
   void Open() {
@@ -40,7 +32,8 @@ class CatalogTest : public ::testing::Test {
     Open();
   }
 
-  std::string path_;
+  TempDb db_file_{"catalog"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<StorageEngine> engine_;
   std::unique_ptr<Catalog> catalog_;
 };

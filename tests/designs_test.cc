@@ -8,8 +8,6 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <filesystem>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -18,6 +16,7 @@
 #include "ipc/shm_channel.h"
 #include "jjc/jjc.h"
 #include "sfi/sfi.h"
+#include "temp_db.h"
 #include "udf/generic_udf.h"
 #include "udf/isolated_udf_runner.h"
 #include "udf/jvm_udf_runner.h"
@@ -187,12 +186,6 @@ TEST(SfiRegionTest, CopyInOutBoundsChecked) {
 class DesignsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_designs_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_, options_).value();
     MustExecute("CREATE TABLE r (b BYTEARRAY)");
     MustExecute("INSERT INTO r VALUES (randbytes(300, 21)), "
@@ -200,7 +193,6 @@ class DesignsTest : public ::testing::Test {
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   QueryResult MustExecute(const std::string& sql) {
@@ -228,7 +220,8 @@ class DesignsTest : public ::testing::Test {
   }
 
   DatabaseOptions options_;
-  std::string path_;
+  TempDb db_file_{"designs"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
 };
 
@@ -309,7 +302,7 @@ class Bad {
 
 TEST_F(DesignsTest, JJavaInstructionBudgetKillsInfiniteLoops) {
   db_.reset();
-  std::remove(path_.c_str());
+  db_file_.Remove();
   options_.udf_instruction_budget = 1000000;
   db_ = Database::Open(path_, options_).value();
   MustExecute("CREATE TABLE r (b BYTEARRAY)");
@@ -340,7 +333,7 @@ class Spin {
 
 TEST_F(DesignsTest, JJavaHeapQuotaStopsAllocationBombs) {
   db_.reset();
-  std::remove(path_.c_str());
+  db_file_.Remove();
   options_.udf_heap_quota_bytes = 4 << 20;
   db_ = Database::Open(path_, options_).value();
   MustExecute("CREATE TABLE r (b BYTEARRAY)");
@@ -484,7 +477,7 @@ TEST_F(DesignsTest, BatchedExecutionMatchesScalarAndHalvesCrossings) {
     }
   };
   db_.reset();
-  std::remove(path_.c_str());
+  db_file_.Remove();
   db_ = Database::Open(path_, options_).value();
   MustExecute("CREATE TABLE r (b BYTEARRAY)");
   load(db_.get());
@@ -493,8 +486,8 @@ TEST_F(DesignsTest, BatchedExecutionMatchesScalarAndHalvesCrossings) {
   RegisterGeneric("g_sfi", UdfLanguage::kNativeSfi);
   RegisterGeneric("g_ijni", UdfLanguage::kJJavaIsolated);
 
-  const std::string batched_path = path_ + ".batched";
-  std::remove(batched_path.c_str());
+  TempDb batched_file("designs_batched");
+  const std::string& batched_path = batched_file.path();
   DatabaseOptions batched_options = options_;
   batched_options.vectorized_execution = true;
   batched_options.batch_size = 4;
@@ -561,14 +554,11 @@ TEST_F(DesignsTest, BatchedExecutionMatchesScalarAndHalvesCrossings) {
   Result<QueryResult> cb = batched_db->Execute("SELECT g_ic(b, 0, 0, 2) FROM r");
   ASSERT_TRUE(cb.ok()) << cb.status();
   EXPECT_EQ(batched_db->callbacks_served() - before, 10u * 2);
-
-  batched_db.reset();
-  std::remove(batched_path.c_str());
 }
 
 TEST_F(DesignsTest, JitToggleChangesNothingSemantically) {
   db_.reset();
-  std::remove(path_.c_str());
+  db_file_.Remove();
   options_.udf_jit = false;
   db_ = Database::Open(path_, options_).value();
   MustExecute("CREATE TABLE r (b BYTEARRAY)");

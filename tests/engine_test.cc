@@ -4,11 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 
 #include "common/random.h"
 #include "engine/database.h"
+#include "temp_db.h"
 #include "udf/generic_udf.h"
 
 namespace jaguar {
@@ -17,17 +16,10 @@ namespace {
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_engine_test_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   QueryResult MustExecute(const std::string& sql) {
@@ -36,7 +28,8 @@ class EngineTest : public ::testing::Test {
     return r.ok() ? std::move(r).value() : QueryResult{};
   }
 
-  std::string path_;
+  TempDb db_file_{"engine_test"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
 };
 
@@ -243,7 +236,7 @@ TEST_F(EngineTest, UdfCallbackQuotaEnforced) {
   DatabaseOptions opts;
   opts.udf_callback_quota = 2;
   db_.reset();
-  std::remove(path_.c_str());
+  db_file_.Remove();
   db_ = Database::Open(path_, opts).value();
   MustExecute("CREATE TABLE r (b BYTEARRAY)");
   MustExecute("INSERT INTO r VALUES (zerobytes(1))");

@@ -10,36 +10,16 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "obs/metrics.h"
 #include "storage/storage_engine.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace {
-
-class TempDb {
- public:
-  explicit TempDb(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_idx_" + tag + "_" + std::to_string(::getpid()) + ".db"))
-                .string();
-    Remove();
-  }
-  ~TempDb() { Remove(); }
-  const std::string& path() const { return path_; }
-
- private:
-  void Remove() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-    std::remove((path_ + ".wal.tmp").c_str());
-  }
-  std::string path_;
-};
 
 RecordId Rid(uint32_t page, uint16_t slot) {
   RecordId rid;

@@ -10,8 +10,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <thread>
 
 #include "common/random.h"
@@ -20,6 +18,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "temp_db.h"
 #include "udf/generic_udf.h"
 #include "udf/udf.h"
 
@@ -173,12 +172,6 @@ TEST(ProtocolTest, FramesSurviveASignalStormMidTransfer) {
 class NetTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_net_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
     server_ = std::make_unique<Server>(db_.get());
     ASSERT_TRUE(server_->Start(0).ok());
@@ -189,10 +182,10 @@ class NetTest : public ::testing::Test {
     server_->Stop();
     server_.reset();
     db_.reset();
-    std::remove(path_.c_str());
   }
 
-  std::string path_;
+  TempDb db_file_{"net"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
   std::unique_ptr<Server> server_;
   std::unique_ptr<Client> client_;

@@ -9,8 +9,6 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -18,6 +16,7 @@
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "jjc/jjc.h"
+#include "temp_db.h"
 #include "udf/generic_udf.h"
 #include "udf/udf.h"
 
@@ -201,17 +200,10 @@ TEST(MetricsRegistryTest, DesignMetricKeyMapping) {
 class MetricsE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_obs_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   QueryResult MustExecute(const std::string& sql) {
@@ -232,7 +224,8 @@ class MetricsE2eTest : public ::testing::Test {
     return -1;
   }
 
-  std::string path_;
+  TempDb db_file_{"obs"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
 };
 

@@ -10,8 +10,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
-#include <filesystem>
 #include <map>
 #include <thread>
 #include <vector>
@@ -22,6 +20,7 @@
 #include "ipc/remote_executor.h"
 #include "jjc/jjc.h"
 #include "obs/metrics.h"
+#include "temp_db.h"
 #include "udf/executor_pool.h"
 #include "udf/generic_udf.h"
 #include "udf/isolated_udf_runner.h"
@@ -43,16 +42,6 @@ constexpr int kRows = 120;
 class ParallelTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    const std::string stem =
-        (std::filesystem::temp_directory_path() /
-         ("jaguar_parallel_" + std::to_string(::getpid()) + "_" +
-          ::testing::UnitTest::GetInstance()->current_test_info()->name()))
-            .string();
-    serial_path_ = stem + "_serial.db";
-    parallel_path_ = stem + "_parallel.db";
-    std::remove(serial_path_.c_str());
-    std::remove(parallel_path_.c_str());
-
     DatabaseOptions serial_options;
     serial_options.vectorized_execution = true;
     serial_options.batch_size = 16;
@@ -60,8 +49,9 @@ class ParallelTest : public ::testing::Test {
     DatabaseOptions parallel_options = serial_options;
     parallel_options.num_workers = 4;
 
-    serial_db_ = Database::Open(serial_path_, serial_options).value();
-    parallel_db_ = Database::Open(parallel_path_, parallel_options).value();
+    serial_db_ = Database::Open(serial_file_.path(), serial_options).value();
+    parallel_db_ =
+        Database::Open(parallel_file_.path(), parallel_options).value();
     for (Database* db : {serial_db_.get(), parallel_db_.get()}) {
       MustExecute(db, "CREATE TABLE r (b BYTEARRAY)");
       for (int i = 0; i < kRows; ++i) {
@@ -82,8 +72,6 @@ class ParallelTest : public ::testing::Test {
     }
     serial_db_.reset();
     parallel_db_.reset();
-    std::remove(serial_path_.c_str());
-    std::remove(parallel_path_.c_str());
   }
 
   QueryResult MustExecute(Database* db, const std::string& sql) {
@@ -134,7 +122,8 @@ class ParallelTest : public ::testing::Test {
     return MetricDelta(r, "exec.parallel.queries");
   }
 
-  std::string serial_path_, parallel_path_;
+  TempDb serial_file_{"parallel_serial"};
+  TempDb parallel_file_{"parallel_parallel"};
   std::unique_ptr<Database> serial_db_, parallel_db_;
 };
 
@@ -275,20 +264,15 @@ TEST(ParallelTransportABTest, RingAndMessageTransportsAreByteIdentical) {
   // guard: oversubscribing one core still exercises the interleavings (and
   // parks the ring more often, not less).
   RegisterGenericUdfs();
-  const std::string stem =
-      (std::filesystem::temp_directory_path() /
-       ("jaguar_transport_ab_" + std::to_string(::getpid())))
-          .string();
   std::map<std::string, QueryResult> results;
   for (const std::string transport : {"ring", "message"}) {
-    const std::string path = stem + "_" + transport + ".db";
-    std::remove(path.c_str());
+    TempDb db_file("transport_ab_" + transport);
     DatabaseOptions options;
     options.vectorized_execution = true;
     options.batch_size = 16;
     options.num_workers = 4;
     options.ipc_transport = transport;
-    auto db = Database::Open(path, options).value();
+    auto db = Database::Open(db_file.path(), options).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE r (b BYTEARRAY)").ok());
     for (int i = 0; i < 48; ++i) {
       ASSERT_TRUE(db->Execute(StringPrintf(
@@ -309,8 +293,6 @@ TEST(ParallelTransportABTest, RingAndMessageTransportsAreByteIdentical) {
     Result<QueryResult> r = db->Execute("SELECT g_ab(b, 15, 2, 1) FROM r");
     ASSERT_TRUE(r.ok()) << transport << ": " << r.status();
     results[transport] = std::move(*r);
-    db.reset();
-    std::remove(path.c_str());
   }
   const QueryResult& ring = results.at("ring");
   const QueryResult& message = results.at("message");
@@ -387,13 +369,8 @@ TEST(ConcurrentRunnerTest, SharedJvmRunnerServesParallelInvocations) {
   JAGUAR_REQUIRE_THREADS(4);
   // One JagVM, one runner, four threads: exercises the VM's JIT cache,
   // method-resolution caches and stats under concurrency.
-  DatabaseOptions options;
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("jaguar_parallel_vm_" + std::to_string(::getpid()) + ".db"))
-          .string();
-  std::remove(path.c_str());
-  auto db = Database::Open(path, options).value();
+  TempDb db_file("parallel_vm");
+  auto db = Database::Open(db_file.path()).value();
 
   UdfInfo info;
   info.name = "g";
@@ -421,8 +398,6 @@ TEST(ConcurrentRunnerTest, SharedJvmRunnerServesParallelInvocations) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  db.reset();
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 
 #include "engine/database.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "temp_db.h"
 #include "udf/placement.h"
 
 namespace jaguar {
@@ -96,10 +95,6 @@ TEST(PlacementModelTest, DecisionExplainsItself) {
 class ClientFilterTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_placement_" + std::to_string(::getpid()) + ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
     server_ = std::make_unique<net::Server>(db_.get());
     ASSERT_TRUE(server_->Start(0).ok());
@@ -110,10 +105,10 @@ class ClientFilterTest : public ::testing::Test {
     server_->Stop();
     server_.reset();
     db_.reset();
-    std::remove(path_.c_str());
   }
 
-  std::string path_;
+  TempDb db_file_{"placement"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
   std::unique_ptr<net::Server> server_;
   std::unique_ptr<net::Client> client_;

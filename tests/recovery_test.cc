@@ -35,34 +35,13 @@
 #include "storage/page.h"
 #include "storage/storage_engine.h"
 #include "storage/table_heap.h"
+#include "temp_db.h"
 #include "test_requirements.h"
 #include "wal/crash_point.h"
 #include "wal/log_manager.h"
 
 namespace jaguar {
 namespace {
-
-/// Temp db path that also cleans up the WAL and its checkpoint temp file.
-class TempDb {
- public:
-  explicit TempDb(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_rec_" + tag + "_" + std::to_string(::getpid()) + ".db"))
-                .string();
-    Remove();
-  }
-  ~TempDb() { Remove(); }
-  const std::string& path() const { return path_; }
-  std::string wal_path() const { return path_ + ".wal"; }
-
- private:
-  void Remove() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-    std::remove((path_ + ".wal.tmp").c_str());
-  }
-  std::string path_;
-};
 
 // ---------------------------------------------------------------------------
 // The crash matrix.

@@ -13,8 +13,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <thread>
 
 #include "common/deadline.h"
@@ -30,6 +28,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "temp_db.h"
 #include "udf/executor_pool.h"
 #include "udf/generic_udf.h"
 #include "udf/isolated_udf_runner.h"
@@ -47,10 +46,6 @@ namespace {
 class NetRobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_robust_" + std::to_string(::getpid()) + ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
     server_ = std::make_unique<net::Server>(db_.get());
     ASSERT_TRUE(server_->Start(0).ok());
@@ -59,7 +54,6 @@ class NetRobustnessTest : public ::testing::Test {
     server_->Stop();
     server_.reset();
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   int RawConnect() {
@@ -73,7 +67,8 @@ class NetRobustnessTest : public ::testing::Test {
     return fd;
   }
 
-  std::string path_;
+  TempDb db_file_{"robust"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
   std::unique_ptr<net::Server> server_;
 };
@@ -628,16 +623,9 @@ class DeadlineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     RegisterSpinUdf();
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_deadline_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   void Open() {
@@ -680,7 +668,8 @@ class DSpin {
   }
 
   DatabaseOptions options_;
-  std::string path_;
+  TempDb db_file_{"deadline"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
 };
 

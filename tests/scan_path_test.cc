@@ -13,8 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
 #include <functional>
 #include <optional>
 #include <set>
@@ -24,17 +22,10 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace {
-
-std::string TempPath(const std::string& tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("jaguar_scan_path_" + std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-           "_" + tag + ".db"))
-      .string();
-}
 
 QueryResult MustExecute(Database* db, const std::string& sql) {
   Result<QueryResult> r = db->Execute(sql);
@@ -111,9 +102,9 @@ class ScanPathABTest : public ::testing::Test {
       options.vectorized_execution = plan.vectorized;
       options.batch_size = 16;
       options.num_workers = plan.workers;
-      paths_.push_back(TempPath(plan.name));
-      std::remove(paths_.back().c_str());
-      dbs_.push_back(Database::Open(paths_.back(), options).value());
+      files_.push_back(
+          std::make_unique<TempDb>(std::string("scan_path_") + plan.name));
+      dbs_.push_back(Database::Open(files_.back()->path(), options).value());
     }
     for (auto& db : dbs_) {
       MustExecute(db.get(),
@@ -139,11 +130,10 @@ class ScanPathABTest : public ::testing::Test {
       EXPECT_EQ(dbs_[i]->storage()->buffer_pool()->pinned_frames(), 0u)
           << kPlans[i].name;
       dbs_[i].reset();
-      std::remove(paths_[i].c_str());
     }
   }
 
-  std::vector<std::string> paths_;
+  std::vector<std::unique_ptr<TempDb>> files_;
   std::vector<std::unique_ptr<Database>> dbs_;
 };
 
@@ -241,16 +231,15 @@ TEST_F(ScanPathABTest, ScansReadEachChainPageOnce) {
 // ---------------------------------------------------------------------------
 
 TEST(ScanPathLimitTest, ParallelLimitStopsHandingOutMorsels) {
-  const std::string serial_path = TempPath("serial");
-  const std::string parallel_path = TempPath("parallel");
-  std::remove(serial_path.c_str());
-  std::remove(parallel_path.c_str());
+  TempDb serial_file("scan_path_serial");
+  TempDb parallel_file("scan_path_parallel");
   DatabaseOptions serial_options;
   serial_options.vectorized_execution = true;
   DatabaseOptions parallel_options = serial_options;
   parallel_options.num_workers = 4;
-  auto serial = Database::Open(serial_path, serial_options).value();
-  auto parallel = Database::Open(parallel_path, parallel_options).value();
+  auto serial = Database::Open(serial_file.path(), serial_options).value();
+  auto parallel =
+      Database::Open(parallel_file.path(), parallel_options).value();
 
   // 4,000 rows of 100 bytes: ~66 rows per page, ~16 four-page morsels.
   constexpr int kManyRows = 4000;
@@ -282,10 +271,6 @@ TEST(ScanPathLimitTest, ParallelLimitStopsHandingOutMorsels) {
     EXPECT_LT(UdfInvocations(got), static_cast<uint64_t>(kManyRows / 10));
   }
   EXPECT_EQ(parallel->storage()->buffer_pool()->pinned_frames(), 0u);
-  serial.reset();
-  parallel.reset();
-  std::remove(serial_path.c_str());
-  std::remove(parallel_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -299,14 +284,13 @@ TEST(ScanPathPoolTest, TinyPoolEvictsOverflowPagesMidScanWithoutLeakingPins) {
   auto bytes_of = [](int i) -> size_t { return i % 2 == 0 ? 20000 : 3000; };
   for (const PlanConfig& plan : kPlans) {
     SCOPED_TRACE(plan.name);
-    const std::string path = TempPath(plan.name);
-    std::remove(path.c_str());
+    TempDb db_file(std::string("scan_path_pool_") + plan.name);
     DatabaseOptions options;
     options.buffer_pool_pages = 8;
     options.vectorized_execution = plan.vectorized;
     options.batch_size = 4;
     options.num_workers = plan.workers;
-    auto db = Database::Open(path, options).value();
+    auto db = Database::Open(db_file.path(), options).value();
     BufferPool* pool = db->storage()->buffer_pool();
     MustExecute(db.get(), "CREATE TABLE big (id INT, b BYTEARRAY, v INT)");
     for (int i = 0; i < kPoolRows; ++i) {
@@ -370,8 +354,6 @@ TEST(ScanPathPoolTest, TinyPoolEvictsOverflowPagesMidScanWithoutLeakingPins) {
     EXPECT_EQ(left.rows[0].value(0).AsInt(), sum);
     EXPECT_EQ(left.rows[0].value(1).AsInt(), static_cast<int64_t>(3000));
     EXPECT_EQ(pool->pinned_frames(), 0u);
-    db.reset();
-    std::remove(path.c_str());
   }
 }
 

@@ -6,14 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "jjc/jjc.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace {
@@ -21,12 +20,6 @@ namespace {
 class SqlFeaturesTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_sqlf_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
     MustExecute("CREATE TABLE orders (id INT, customer STRING, total DOUBLE, "
                 "qty INT)");
@@ -39,7 +32,6 @@ class SqlFeaturesTest : public ::testing::Test {
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   QueryResult MustExecute(const std::string& sql) {
@@ -53,7 +45,8 @@ class SqlFeaturesTest : public ::testing::Test {
     return it != r.metrics_delta.end() ? it->second : uint64_t{0};
   }
 
-  std::string path_;
+  TempDb db_file_{"sqlf"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
 };
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -18,31 +17,10 @@
 #include "storage/slotted_page.h"
 #include "storage/storage_engine.h"
 #include "storage/table_heap.h"
+#include "temp_db.h"
 
 namespace jaguar {
 namespace {
-
-/// Creates a unique temp db path and removes it, with its log, on
-/// destruction.
-class TempDb {
- public:
-  explicit TempDb(const std::string& tag) {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_test_" + tag + "_" + std::to_string(::getpid()) + ".db"))
-                .string();
-    Remove();
-  }
-  ~TempDb() { Remove(); }
-  const std::string& path() const { return path_; }
-  void Remove() const {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".wal").c_str());
-    std::remove((path_ + ".wal.tmp").c_str());
-  }
-
- private:
-  std::string path_;
-};
 
 TEST(DiskManagerTest, AllocateReadWrite) {
   TempDb db("disk");

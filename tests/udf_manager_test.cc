@@ -4,13 +4,12 @@
 // udf.runner_cache_misses counters, plus cache invalidation on
 // re-registration and the unknown-UDF error paths.
 
+#include "temp_db.h"
 #include "udf/udf_manager.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <filesystem>
 
 #include "engine/database.h"
 #include "jjc/jjc.h"
@@ -163,19 +162,12 @@ TEST(UdfManagerTest, MemoHitSkipsReinvocation) {
 class UdfManagerE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("jaguar_udfmgr_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-              ".db"))
-                .string();
-    std::remove(path_.c_str());
     db_ = Database::Open(path_).value();
     MustExecute("CREATE TABLE r (b BYTEARRAY)");
     MustExecute("INSERT INTO r VALUES (randbytes(16, 1)), (randbytes(16, 2))");
   }
   void TearDown() override {
     db_.reset();
-    std::remove(path_.c_str());
   }
 
   QueryResult MustExecute(const std::string& sql) {
@@ -200,7 +192,8 @@ class UdfManagerE2eTest : public ::testing::Test {
     ASSERT_TRUE(db_->RegisterUdf(info).ok());
   }
 
-  std::string path_;
+  TempDb db_file_{"udfmgr"};
+  std::string path_ = db_file_.path();
   std::unique_ptr<Database> db_;
 };
 
@@ -248,8 +241,8 @@ TEST_F(UdfManagerE2eTest, DroppedUdfBecomesUnresolvable) {
 
 TEST_F(UdfManagerE2eTest, MemoNeverServesStaleResultsAcrossReRegistration) {
   // A separate database with the result memo enabled.
-  const std::string path = path_ + ".memo";
-  std::remove(path.c_str());
+  TempDb memo_file("udfmgr_memo");
+  const std::string& path = memo_file.path();
   DatabaseOptions options;
   options.udf_memo_entries = 64;
   auto db = Database::Open(path, options).value();
@@ -294,9 +287,6 @@ TEST_F(UdfManagerE2eTest, MemoNeverServesStaleResultsAcrossReRegistration) {
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(third.rows[i].value(0).AsInt(), 0);
   }
-
-  db.reset();
-  std::remove(path.c_str());
 }
 
 TEST_F(UdfManagerE2eTest, UnknownUdfInQueryIsCleanError) {
