@@ -25,6 +25,14 @@
 /// * the final 8 bytes are the page's WAL LSN footer (page.h), never touched
 ///   here.
 ///
+/// Nodes are read and edited in place on their pinned page, never decoded
+/// into a separate form. Every read of a node first checks its framing: the
+/// kind byte, and for all `count` entries a known type tag and a key, rid
+/// and child that fit inside the node; a bad node is Corruption. An insert
+/// that fits shifts the entries after it and writes one entry; a delete
+/// shifts them back; a split copies the overfull node out and writes each
+/// half whole. An operation holds at most one page pin at a time.
+///
 /// Durability: every page mutation goes through a committed `WalPageEdit`,
 /// so index pages are logged and replayed exactly like heap pages. The root
 /// page id is stable for the life of the index (a root split moves both
@@ -93,8 +101,11 @@ class BTree {
   /// Number of entries (full scan; test/debug use).
   Result<uint64_t> CountEntries();
 
-  /// Verifies node ordering, separator placement and the leaf chain.
-  /// Test/debug use; errors are Corruption.
+  /// Verifies the whole tree: every node's entries ascend in composite
+  /// order, every entry under child i lies within that child's separator
+  /// bounds, all leaves sit at one depth, and the leaves reached from the
+  /// root, left to right, are exactly the leaf chain. Test/debug use;
+  /// errors are Corruption.
   Status CheckInvariants();
 
   /// Crash points compiled into the mutation paths, for the recovery test's
@@ -103,37 +114,6 @@ class BTree {
   static const std::vector<std::string>& CrashPointNames();
 
  private:
-  struct Entry {
-    Value key;
-    RecordId rid;
-    PageId child = kInvalidPageId;  // internal nodes only
-  };
-  struct Node {
-    bool leaf = true;
-    PageId next = kInvalidPageId;  // leaf: right sibling; internal: leftmost
-    std::vector<Entry> entries;
-  };
-
-  static int CompareComposite(const Value& a_key, RecordId a_rid,
-                              const Value& b_key, RecordId b_rid, Status* st);
-
-  Result<Node> ReadNode(PageId id);
-  Status WriteNode(PageId id, const Node& node);
-  static size_t EntrySize(const Entry& e, bool leaf);
-  static size_t NodeSize(const Node& n);
-
-  /// Child index chosen for (key, rid) in an internal node: 0 = leftmost.
-  Result<size_t> ChildIndex(const Node& node, const Value& key, RecordId rid);
-  static PageId ChildAt(const Node& node, size_t idx);
-
-  /// Descends to the leaf whose range covers (key, rid), recording the
-  /// internal pages visited (root first).
-  Result<PageId> DescendToLeaf(const Value& key, RecordId rid,
-                               std::vector<PageId>* path);
-
-  Status SplitAndInsertUp(PageId pid, Node node, std::vector<PageId> path);
-  Status CollectPages(PageId id, std::vector<PageId>* out);
-
   StorageEngine* engine_;
   PageId root_;
 };
