@@ -24,7 +24,7 @@ constexpr int kBatch = 256;
 
 // -- Process boundary (Design 2) ---------------------------------------------
 
-Result<std::vector<uint8_t>> SumHandler(Slice request, ipc::Channel*) {
+Status SumHandler(Slice request, ipc::Channel* channel) {
   BufferReader r(request);
   JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
   int64_t total = 0;
@@ -34,7 +34,7 @@ Result<std::vector<uint8_t>> SumHandler(Slice request, ipc::Channel*) {
   }
   BufferWriter w;
   w.PutI64(total);
-  return w.Release();
+  return channel->SendToParent(ipc::MsgType::kResult, w.AsSlice());
 }
 
 Result<std::vector<uint8_t>> NoCallbacks(Slice) {

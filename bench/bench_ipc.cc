@@ -1,21 +1,18 @@
-// IPC transport microbenchmark: the zero-copy shared-memory ring against the
-// copying semaphore-per-message channel, at two levels.
+// IPC microbenchmark of the isolated-UDF boundary's shared-memory ring, at
+// two levels.
 //
 //  1. Raw channel: parent streams payloads of 64 B .. 512 KB to a forked
 //     echo child that answers each with an 8-byte FNV checksum. This models
-//     the UDF argument path — bulk one way, tiny result back. The ring
-//     serializes into shared memory in place and the child reads in place
-//     (zero large copies); the message channel pays copy-in + copy-out per
-//     crossing plus four semaphore syscalls.
+//     the UDF argument path — bulk one way, tiny result back. The parent
+//     serializes into shared memory in place and the child reads in place.
 //  2. Runner level: IsolatedNativeRunner::InvokeBatch of 256 rows x 8 KB
-//     through a real executor pool, ring vs message, exercising the
-//     serialize-into-ring batch codec and depth-2 pipelining.
+//     through a real executor pool, exercising the serialize-into-ring batch
+//     codec and depth-2 pipelining.
 //
-// Emits BENCH_ipc.json. Shape checks: ring >= 1.5x message throughput on
-// large payloads/batches, and the ring's park count (voluntary syscall
-// sleeps) must be far below the message channel's per-crossing syscall
-// count. JAGUAR_BENCH_IPC_ITERS overrides the per-size iteration count for
-// CI smoke runs.
+// Emits BENCH_ipc.json. Shape check: the ring's park count (voluntary
+// syscall sleeps) stays below a fifth of its crossings — an uncontended
+// crossing costs no syscall. JAGUAR_BENCH_IPC_ITERS overrides the per-size
+// iteration count for CI smoke runs.
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -43,9 +40,8 @@ uint64_t Fnv1a(const uint8_t* data, size_t len, uint64_t h) {
 }
 
 /// Checksum of the payload's first and last 64 bytes: enough to catch
-/// framing/wraparound corruption without a full read pass, whose cost both
-/// transports would pay equally and which would mask the copy savings this
-/// bench exists to measure.
+/// framing/wraparound corruption without a full read pass, which would mask
+/// the crossing cost this bench exists to measure.
 uint64_t EdgeChecksum(const uint8_t* data, size_t len) {
   uint64_t h = 1469598103934665603ull;
   size_t head = len < 64 ? len : 64;
@@ -89,17 +85,17 @@ pid_t ForkChecksumChild(ipc::Channel* channel) {
   }
 }
 
-/// One transport x payload-size point: round trips/s and MB/s (payload
-/// direction only).
+/// One payload-size point: round trips/s and MB/s (payload direction only).
 struct EchoPoint {
   double seconds = 0;
   double mbps = 0;
   double trips_per_s = 0;
 };
 
-EchoPoint RunEcho(ipc::Transport transport, size_t payload_size, int iters) {
-  auto channel = ipc::Channel::Create(transport, 1 << 20).value();
+EchoPoint RunEcho(size_t payload_size, int iters) {
+  auto channel = ipc::Channel::Create(1 << 20).value();
   pid_t child = ForkChecksumChild(channel.get());
+  channel->set_child_pid(child);
 
   std::vector<uint8_t> staging(payload_size);
   for (size_t i = 0; i < payload_size; ++i) {
@@ -109,19 +105,12 @@ EchoPoint RunEcho(ipc::Transport transport, size_t payload_size, int iters) {
 
   Stopwatch timer;
   for (int i = 0; i < iters; ++i) {
-    if (channel->zero_copy()) {
-      // The real producer serializes in place; writing the pattern into the
-      // reservation stands in for that serialization pass.
-      uint8_t* buf = channel->PrepareToChild(payload_size).value();
-      std::memcpy(buf, staging.data(), payload_size);
-      if (!channel->CommitToChild(ipc::MsgType::kRequest, payload_size)
-               .ok()) {
-        std::abort();
-      }
-    } else {
-      if (!channel->SendToChild(ipc::MsgType::kRequest, Slice(staging)).ok()) {
-        std::abort();
-      }
+    // The real producer serializes in place; writing the pattern into the
+    // reservation stands in for that serialization pass.
+    uint8_t* buf = channel->PrepareToChild(payload_size).value();
+    std::memcpy(buf, staging.data(), payload_size);
+    if (!channel->CommitToChild(ipc::MsgType::kRequest, payload_size).ok()) {
+      std::abort();
     }
     auto reply = channel->ReceiveViewInParent().value();
     uint64_t sum;
@@ -142,14 +131,13 @@ EchoPoint RunEcho(ipc::Transport transport, size_t payload_size, int iters) {
 }
 
 /// Runner-level batch point: rows/s for InvokeBatch of `rows` x `row_bytes`.
-double RunBatch(ipc::Transport transport, int rows, size_t row_bytes,
-                int repeats) {
+double RunBatch(int rows, size_t row_bytes, int repeats) {
   RegisterGenericUdfs();
   auto runner =
       IsolatedNativeRunner::Spawn(
           "generic_udf", TypeId::kInt,
           {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt},
-          /*shm_capacity=*/8u << 20, /*pool_size=*/1, transport)
+          /*shm_capacity=*/8u << 20, /*pool_size=*/1)
           .value();
   std::vector<std::vector<Value>> batch;
   for (int i = 0; i < rows; ++i) {
@@ -180,123 +168,74 @@ uint64_t MetricValue(const obs::MetricsSnapshot& snap,
 
 int Run() {
   const std::vector<size_t> sizes = {64, 4096, 65536, 512 * 1024};
-  PrintHeader("IPC transport - ring vs message",
+  PrintHeader("IPC - the isolated-UDF ring",
               "echo round trips (bulk payload out, 8-byte checksum back) "
-              "and isolated-UDF InvokeBatch, per transport");
+              "and isolated-UDF InvokeBatch");
 
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
 
-  PrintSeriesHeader("payload B",
-                    {"ring MB/s", "message MB/s", "ratio", "trips/s ring"});
-  std::vector<EchoPoint> ring_points, message_points;
-  obs::MetricsSnapshot before_ring = reg->Snapshot("ipc.");
+  PrintSeriesHeader("payload B", {"MB/s", "trips/s"});
+  std::vector<EchoPoint> points;
+  obs::MetricsSnapshot before = reg->Snapshot("ipc.");
   for (size_t size : sizes) {
-    ring_points.push_back(
-        RunEcho(ipc::Transport::kRing, size, IterationsFor(size)));
+    points.push_back(RunEcho(size, IterationsFor(size)));
   }
-  obs::MetricsSnapshot ring_delta =
-      obs::SnapshotDelta(before_ring, reg->Snapshot("ipc."));
-
-  obs::MetricsSnapshot before_message = reg->Snapshot("ipc.");
-  for (size_t size : sizes) {
-    message_points.push_back(
-        RunEcho(ipc::Transport::kMessage, size, IterationsFor(size)));
-  }
-  obs::MetricsSnapshot message_delta =
-      obs::SnapshotDelta(before_message, reg->Snapshot("ipc."));
-
+  obs::MetricsSnapshot delta =
+      obs::SnapshotDelta(before, reg->Snapshot("ipc."));
   for (size_t i = 0; i < sizes.size(); ++i) {
-    double ratio = message_points[i].mbps > 0
-                       ? ring_points[i].mbps / message_points[i].mbps
-                       : 0;
-    std::printf("%10zu %12.1f %12.1f %11.2fx %12.0f\n", sizes[i],
-                ring_points[i].mbps, message_points[i].mbps, ratio,
-                ring_points[i].trips_per_s);
+    std::printf("%10zu %12.1f %12.0f\n", sizes[i], points[i].mbps,
+                points[i].trips_per_s);
   }
 
-  // Syscall economy: every message-transport crossing is >= 2 semaphore
-  // syscalls; the ring only syscalls when a side actually parks.
-  const uint64_t ring_parks = MetricValue(ring_delta, "ipc.ring.parks");
-  const uint64_t ring_crossings = MetricValue(ring_delta, "ipc.shm.messages");
-  const uint64_t message_crossings =
-      MetricValue(message_delta, "ipc.shm.messages");
+  // Syscall economy: the ring only syscalls when a side actually parks.
+  const uint64_t ring_parks = MetricValue(delta, "ipc.ring.parks");
+  const uint64_t ring_crossings = MetricValue(delta, "ipc.shm.messages");
   std::printf("\nring: %" PRIu64 " crossings, %" PRIu64
-              " parks (%.1f%% parked); message: %" PRIu64
-              " crossings = >= %" PRIu64 " semaphore syscalls\n",
+              " parks (%.1f%% parked)\n",
               ring_crossings, ring_parks,
-              ring_crossings > 0 ? 100.0 * ring_parks / ring_crossings : 0.0,
-              message_crossings, 2 * message_crossings);
+              ring_crossings > 0 ? 100.0 * ring_parks / ring_crossings : 0.0);
 
   const int batch_rows = 256;
   const size_t row_bytes = 8192;
   const int repeats = FullScale() ? 9 : 3;
-  double ring_rows_s = RunBatch(ipc::Transport::kRing, batch_rows, row_bytes,
-                                repeats);
-  double message_rows_s =
-      RunBatch(ipc::Transport::kMessage, batch_rows, row_bytes, repeats);
-  double batch_ratio = message_rows_s > 0 ? ring_rows_s / message_rows_s : 0;
-  std::printf("\nInvokeBatch %d rows x %zu B: ring %.0f rows/s, message "
-              "%.0f rows/s (%.2fx)\n",
-              batch_rows, row_bytes, ring_rows_s, message_rows_s, batch_ratio);
+  const double rows_s = RunBatch(batch_rows, row_bytes, repeats);
+  std::printf("\nInvokeBatch %d rows x %zu B: %.0f rows/s\n", batch_rows,
+              row_bytes, rows_s);
 
   std::FILE* json = std::fopen("BENCH_ipc.json", "w");
   if (json != nullptr) {
     std::fprintf(json, "{\n  \"echo\": {\n");
     for (size_t i = 0; i < sizes.size(); ++i) {
-      double ratio = message_points[i].mbps > 0
-                         ? ring_points[i].mbps / message_points[i].mbps
-                         : 0;
       std::fprintf(json,
-                   "    \"%zu\": {\"ring_mbps\": %.2f, \"message_mbps\": "
-                   "%.2f, \"ratio\": %.3f, \"ring_trips_per_s\": %.0f}%s\n",
-                   sizes[i], ring_points[i].mbps, message_points[i].mbps,
-                   ratio, ring_points[i].trips_per_s,
+                   "    \"%zu\": {\"mbps\": %.2f, \"trips_per_s\": %.0f}%s\n",
+                   sizes[i], points[i].mbps, points[i].trips_per_s,
                    i + 1 < sizes.size() ? "," : "");
     }
     std::fprintf(json,
                  "  },\n  \"ring_parks\": %" PRIu64
                  ",\n  \"ring_crossings\": %" PRIu64
-                 ",\n  \"message_crossings\": %" PRIu64
                  ",\n  \"batch\": {\"rows\": %d, \"row_bytes\": %zu, "
-                 "\"ring_rows_per_s\": %.0f, \"message_rows_per_s\": %.0f, "
-                 "\"ratio\": %.3f}\n}\n",
-                 ring_parks, ring_crossings, message_crossings, batch_rows,
-                 row_bytes, ring_rows_s, message_rows_s, batch_ratio);
+                 "\"rows_per_s\": %.0f}\n}\n",
+                 ring_parks, ring_crossings, batch_rows, row_bytes, rows_s);
     std::fclose(json);
     std::printf("\nwrote BENCH_ipc.json\n");
   }
 
   std::printf("\nShape checks:\n");
-  bool ok = true;
   const unsigned cores = std::thread::hardware_concurrency();
   if (cores < 2) {
-    // On one CPU every crossing is a mandatory context switch for BOTH
-    // transports — the producer cannot run while the consumer does — so the
-    // ring's zero-syscall, overlap-friendly fast path has no room to show
-    // its advantage and the waiter parks on every crossing. The comparisons
-    // below are only meaningful with real concurrency.
-    std::printf("  [SKIP] transport ratio checks need >= 2 cores (host has "
-                "%u)\n",
+    // On one CPU every crossing is a mandatory context switch — the producer
+    // cannot run while the consumer does — so the waiter parks on every
+    // crossing. The check below is only meaningful with real concurrency.
+    std::printf("  [SKIP] the parks check needs >= 2 cores (host has %u)\n",
                 cores);
     return 0;
   }
-  const size_t last = sizes.size() - 1;
-  double large_ratio = message_points[last].mbps > 0
-                           ? ring_points[last].mbps / message_points[last].mbps
-                           : 0;
-  ok &= ShapeCheck(large_ratio >= 1.5,
-                   StringPrintf("ring >= 1.5x message at %zu B payloads "
-                                "(got %.2fx): zero-copy beats copy-twice",
-                                sizes[last], large_ratio));
-  ok &= ShapeCheck(batch_ratio >= 1.5,
-                   StringPrintf("ring >= 1.5x message on %d x %zu B "
-                                "InvokeBatch (got %.2fx)",
-                                batch_rows, row_bytes, batch_ratio));
-  ok &= ShapeCheck(
-      ring_parks * 10 < 2 * message_crossings,
-      StringPrintf("ring parks (%" PRIu64 ") are < 10%% of the message "
-                   "transport's semaphore syscalls (%" PRIu64 ")",
-                   ring_parks, 2 * message_crossings));
+  const bool ok = ShapeCheck(
+      ring_parks * 10 < 2 * ring_crossings,
+      StringPrintf("ring parks (%" PRIu64 ") are < 20%% of its crossings "
+                   "(%" PRIu64 ")",
+                   ring_parks, ring_crossings));
   return ok ? 0 : 1;
 }
 

@@ -3,13 +3,13 @@
 
 /// \file ring_buffer.h
 /// A lock-free single-producer/single-consumer byte ring over a shared-memory
-/// region, carrying CRC-framed variable-length records. This is the fast-path
-/// transport for the isolated-UDF boundary crossing: the producer serializes
-/// a frame *directly into* the ring (zero copies), the consumer reads it *in
-/// place* and releases it after decoding, and an uncontended crossing costs
-/// zero syscalls — the waiter spins briefly and parks on a futex (or a
-/// process-shared semaphore where futexes are unavailable) only when the peer
-/// is genuinely slow.
+/// region, carrying CRC-framed variable-length records. This is the transport
+/// of the isolated-UDF boundary crossing (ipc/channel.h): the producer
+/// serializes a frame *directly into* the ring (zero copies), the consumer
+/// reads it *in place* and releases it after decoding, and an uncontended
+/// crossing costs zero syscalls — the waiter spins briefly and parks on a
+/// futex (on non-Linux builds, or when built with JAGUAR_RING_FORCE_SEM_PARK,
+/// a process-shared semaphore) only when the peer is genuinely slow.
 ///
 /// Layout: a cache-line-separated `Control` block (head/tail cursors and the
 /// parking words) followed by a power-of-two data area. Cursors are monotonic
@@ -44,6 +44,8 @@
 /// between publish and wake.
 
 #include <semaphore.h>
+#include <sys/types.h>
+#include <sys/wait.h>
 #include <time.h>
 
 #if defined(__linux__) && !defined(JAGUAR_RING_FORCE_SEM_PARK)
@@ -91,9 +93,9 @@ class SpscRingBuffer {
   /// Payload bytes covered by the frame CRC (beyond the full header). A
   /// bounded window keeps frame-integrity checking O(1) per frame: a
   /// per-byte checksum over megabyte payloads would cost more than the two
-  /// memcpys the zero-copy design eliminates, and the producer/consumer
-  /// share the same trust domain as the message channel (which checksums
-  /// nothing). The window still catches what framing CRCs exist to catch —
+  /// memcpys the zero-copy design eliminates, and the producer and consumer
+  /// are a server and the executor it forked, inside one trust domain. The
+  /// window still catches what framing CRCs exist to catch —
   /// torn headers, misaligned reads after a wraparound bug, stray scribbles
   /// over a frame's start — because any such fault corrupts the header or
   /// the leading payload bytes.
@@ -107,12 +109,15 @@ class SpscRingBuffer {
     uint64_t end_pos = 0;  ///< release token (the frame's end cursor)
   };
 
-  /// Bounds one blocking wait. `budget_ns` guards against a dead peer;
+  /// Bounds one blocking wait. `budget_ns` guards against a silent peer;
   /// `deadline` is the query watchdog hook, re-checked every parked slice
-  /// (~100 ms) exactly like the message channel's sem_timedwait loop.
+  /// (~100 ms). When `peer_pid` names a child of this process, each slice
+  /// that ends without progress also checks whether that child has exited,
+  /// so a dead peer fails the wait within one slice instead of the budget.
   struct WaitOptions {
     int64_t budget_ns = 30ll * 1000000000;
     const QueryDeadline* deadline = nullptr;
+    pid_t peer_pid = 0;
     int spin_limit = 2048;
   };
 
@@ -182,7 +187,7 @@ class SpscRingBuffer {
   }
 
   /// Destroys the process-shared semaphores (creator side only, once the
-  /// peer is gone — mirrors ShmChannel teardown).
+  /// peer is gone).
   void Destroy() {
     if (ctl_ != nullptr) {
       ::sem_destroy(&ctl_->data_sem);
@@ -411,6 +416,25 @@ class SpscRingBuffer {
 #endif
   }
 
+  /// IoError once child `pid` has exited. WNOWAIT leaves the child for its
+  /// owner to reap; a pid that is no child of ours (already reaped) is gone.
+  static Status CheckPeerRunning(pid_t pid) {
+    siginfo_t info;
+    std::memset(&info, 0, sizeof(info));
+    if (::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) != 0) {
+      if (errno != ECHILD) return Status::OK();  // EINTR: next slice
+      return IoError(StringPrintf("ring peer process %d is gone", pid));
+    }
+    if (info.si_pid == 0) return Status::OK();
+    if (info.si_code == CLD_EXITED) {
+      return IoError(StringPrintf("ring peer process %d exited with status %d",
+                                  pid, info.si_status));
+    }
+    return IoError(StringPrintf("ring peer process %d was killed by signal %d",
+                                pid, info.si_status));
+  }
+
   void Wake(std::atomic<uint32_t>* seq, sem_t* sem) {
 #ifdef JAGUAR_RING_FUTEX_PARK
     (void)sem;
@@ -462,10 +486,11 @@ class SpscRingBuffer {
       ParkSlice(seq, observed, sem);
       parked->store(0, std::memory_order_seq_cst);
       if (ready()) return Status::OK();
-      // Between slices: the query watchdog first, then the dead-peer budget
-      // — expiry mid-wait is detected at most one slice late, exactly the
-      // message channel's contract.
+      // Between slices: the query watchdog first, then the peer's exit,
+      // then the silent-peer budget — each is detected at most one slice
+      // late. A park woken by the peer never gets here.
       JAGUAR_RETURN_IF_ERROR(CheckDeadline(w.deadline));
+      if (w.peer_pid > 0) JAGUAR_RETURN_IF_ERROR(CheckPeerRunning(w.peer_pid));
       struct timespec now;
       ::clock_gettime(CLOCK_MONOTONIC, &now);
       const int64_t elapsed_ns = (now.tv_sec - start.tv_sec) * 1000000000 +

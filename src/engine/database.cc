@@ -179,7 +179,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   wal_options.fsync_on_commit = options.wal_fsync;
   wal_options.checkpoint_bytes = options.wal_checkpoint_bytes;
   BufferPoolConfig pool_config;
-  pool_config.shards = options.buffer_pool_shards;
   pool_config.workers_hint = std::max<size_t>(1, options.num_workers);
   pool_config.readahead_pages = options.readahead_pages;
   pool_config.bg_writer = options.bg_writer;
@@ -208,18 +207,15 @@ Result<std::unique_ptr<Database>> Database::Open(
   // Isolated designs get one executor process per parallel worker, so the
   // morsel workers never serialize on a single child.
   const size_t pool_size = std::max<size_t>(1, options.num_workers);
-  JAGUAR_ASSIGN_OR_RETURN(ipc::Transport transport,
-                          ipc::ParseTransport(options.ipc_transport));
   db->udf_manager_->SetRunnerFactory(
       UdfLanguage::kNativeIsolated,
-      MakeIsolatedRunnerFactory(options.isolated_shm_bytes, pool_size,
-                                transport));
+      MakeIsolatedRunnerFactory(options.isolated_shm_bytes, pool_size));
   db->udf_manager_->SetRunnerFactory(UdfLanguage::kNativeSfi,
                                      MakeSfiRunnerFactory());
   db->udf_manager_->SetRunnerFactory(
       UdfLanguage::kJJavaIsolated,
       MakeIsolatedJvmRunnerFactory(limits, options.isolated_shm_bytes,
-                                   pool_size, transport));
+                                   pool_size));
 
   db->lobs_ = std::make_unique<LobStore>(db->storage_.get(), db->catalog_.get());
   JAGUAR_RETURN_IF_ERROR(db->lobs_->Init());

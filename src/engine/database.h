@@ -62,11 +62,6 @@ struct DatabaseOptions {
   size_t udf_heap_quota_bytes = 0;
   /// Shared-memory capacity per direction for Design-2 executors.
   size_t isolated_shm_bytes = 1 << 20;
-  /// IPC transport for isolated executor channels: "ring" (zero-copy SPSC
-  /// ring buffer, zero syscalls on the uncontended path) or "message" (the
-  /// copying semaphore-per-message channel). Any other value fails Open with
-  /// InvalidArgument.
-  std::string ipc_transport = "ring";
   /// Vectorized execution (Section 2.5): a plan reads `batch_size` records
   /// at a time and UDF calls cross the isolation boundary once per batch
   /// instead of once per tuple (the pipeline's `batched` flag). Off by
@@ -106,10 +101,6 @@ struct DatabaseOptions {
   /// Auto-checkpoint (flush + log truncation) once the log exceeds this many
   /// bytes.
   uint64_t wal_checkpoint_bytes = 8ull << 20;
-  /// Buffer pool shard count (rounded up to a power of two). 0 = auto:
-  /// scaled from `num_workers`, capped at 16. 1 reproduces the old
-  /// single-latch pool (used by the bench ablation).
-  size_t buffer_pool_shards = 0;
   /// Sequential-scan readahead depth in pages (0 = off): scans hint the
   /// pool, a background worker prefetches, and prefetched pages enter the
   /// replacement clock cold so one big scan cannot evict the working set.

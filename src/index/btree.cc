@@ -583,27 +583,20 @@ Result<std::vector<RecordId>> BTree::Scan(const std::optional<Bound>& lower,
     if (lower->key.is_null()) return out;  // NULL bounds match nothing
     lo = EncodeKey(lower->key, &lower_bytes);
   }
-  // The descent finds the start leaf; the walk below reads it and its
-  // right siblings in turn.
-  PageId pid;
-  {
-    JAGUAR_ASSIGN_OR_RETURN(
-        NodeView start, DescendToLeaf(pool, root_,
-                                      lower.has_value() ? &lo : nullptr,
-                                      kMinRid, nullptr));
-    pid = start.id();
-  }
+  // The descent's view of the start leaf begins the walk below.
+  JAGUAR_ASSIGN_OR_RETURN(
+      NodeView leaf, DescendToLeaf(pool, root_,
+                                   lower.has_value() ? &lo : nullptr, kMinRid,
+                                   nullptr));
   if (upper.has_value()) {
     if (upper->key.is_null()) return out;
     hi = EncodeKey(upper->key, &upper_bytes);
   }
 
   // Walk the leaf chain from the start leaf, skipping entries below the
-  // lower bound and stopping at the first entry above the upper bound.
-  for (int hops = 0; pid != kInvalidPageId; ++hops) {
-    if (hops > 1 << 24) return Corruption("leaf chain cycle");
-    JAGUAR_ASSIGN_OR_RETURN(NodeView leaf, NodeView::Open(pool, pid));
-    if (!leaf.leaf()) return Corruption("leaf chain reached an internal node");
+  // lower bound and stopping at the first entry above the upper bound. Each
+  // leaf's pin is dropped before its sibling is fetched.
+  for (int hops = 0;; ++hops) {
     for (size_t off = kNodeHeader; off < leaf.end();) {
       const EntryRef e = leaf.At(off);
       off += e.size;
@@ -617,9 +610,13 @@ Result<std::vector<RecordId>> BTree::Scan(const std::optional<Bound>& lower,
       }
       out.push_back(e.rid);
     }
-    pid = leaf.next();
+    const PageId next = leaf.next();
+    if (next == kInvalidPageId) return out;
+    if (hops >= 1 << 24) return Corruption("leaf chain cycle");
+    leaf.Release();
+    JAGUAR_ASSIGN_OR_RETURN(leaf, NodeView::Open(pool, next));
+    if (!leaf.leaf()) return Corruption("leaf chain reached an internal node");
   }
-  return out;
 }
 
 Status BTree::Clear() {

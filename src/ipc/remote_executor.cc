@@ -8,6 +8,7 @@
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace jaguar {
 namespace ipc {
@@ -33,8 +34,8 @@ namespace {
 /// Child main loop: serve requests until kShutdown (or channel failure).
 /// Requests arrive as in-place views; ReleaseInChild after the handler is a
 /// safety net for handlers that did not release themselves (release is
-/// idempotent). A handler that shipped its own zero-copy kResult marked the
-/// response sent, so the loop must not send a second one.
+/// idempotent). The handler ships its own kResult frames; the loop ships
+/// its errors.
 [[noreturn]] void ChildLoop(Channel* channel,
                             const RemoteExecutor::RequestHandler& handler) {
   while (true) {
@@ -43,34 +44,29 @@ namespace {
     if (msg->first == MsgType::kShutdown) _exit(0);
     if (msg->first != MsgType::kRequest) _exit(3);
 
-    Result<std::vector<uint8_t>> result = handler(msg->second, channel);
+    Status handled = handler(msg->second, channel);
     channel->ReleaseInChild();
-    if (channel->TakeResponseSent()) {
-      if (!result.ok()) _exit(3);
-      continue;
+    if (!handled.ok() &&
+        !channel->SendToParent(MsgType::kError, Slice(EncodeStatus(handled)))
+             .ok()) {
+      _exit(4);
     }
-    Status send = result.ok()
-                      ? channel->SendToParent(MsgType::kResult, Slice(*result))
-                      : channel->SendToParent(
-                            MsgType::kError,
-                            Slice(EncodeStatus(result.status())));
-    if (!send.ok()) _exit(4);
   }
 }
 
 }  // namespace
 
 Result<std::unique_ptr<RemoteExecutor>> RemoteExecutor::Spawn(
-    size_t shm_capacity, RequestHandler handler, Transport transport) {
+    size_t shm_capacity, RequestHandler handler) {
   auto executor = std::unique_ptr<RemoteExecutor>(new RemoteExecutor());
-  JAGUAR_ASSIGN_OR_RETURN(executor->channel_,
-                          Channel::Create(transport, shm_capacity));
+  JAGUAR_ASSIGN_OR_RETURN(executor->channel_, Channel::Create(shm_capacity));
   pid_t pid = ::fork();
   if (pid < 0) return IoError("fork failed");
   if (pid == 0) {
     ChildLoop(executor->channel_.get(), handler);  // never returns
   }
   executor->child_pid_ = pid;
+  executor->channel_->set_child_pid(pid);
   return executor;
 }
 
@@ -102,7 +98,7 @@ Result<std::vector<uint8_t>> RemoteExecutor::Execute(
 
 Status RemoteExecutor::BeginExecute(Slice request) {
   if (child_pid_ < 0) return Internal("remote executor already shut down");
-  if (in_flight_ >= channel_->send_queue_depth()) {
+  if (in_flight_ >= Channel::kSendQueueDepth) {
     return Internal("remote executor request pipeline is full");
   }
   JAGUAR_RETURN_IF_ERROR(channel_->SendToChild(MsgType::kRequest, request));
@@ -112,7 +108,7 @@ Status RemoteExecutor::BeginExecute(Slice request) {
 
 Result<uint8_t*> RemoteExecutor::PrepareRequest(size_t max_len) {
   if (child_pid_ < 0) return Internal("remote executor already shut down");
-  if (in_flight_ >= channel_->send_queue_depth()) {
+  if (in_flight_ >= Channel::kSendQueueDepth) {
     return Internal("remote executor request pipeline is full");
   }
   return channel_->PrepareToChild(max_len);
@@ -129,9 +125,9 @@ Result<std::vector<uint8_t>> RemoteExecutor::FinishExecute(
     const CallbackHandler& on_callback) {
   std::vector<uint8_t> out;
   JAGUAR_RETURN_IF_ERROR(
-      FinishExecuteWith(on_callback, [&out](Slice payload) -> Status {
-        out.assign(payload.data(), payload.data() + payload.size());
-        return Status::OK();
+      FinishExecuteWith(on_callback, [&out](Slice payload) -> Result<bool> {
+        out = payload.ToVector();
+        return true;
       }));
   return out;
 }
@@ -139,24 +135,35 @@ Result<std::vector<uint8_t>> RemoteExecutor::FinishExecute(
 Status RemoteExecutor::FinishExecuteWith(const CallbackHandler& on_callback,
                                          const ResultConsumer& consume) {
   if (in_flight_ == 0) return Internal("no request in flight");
-  --in_flight_;
   while (true) {
     JAGUAR_ASSIGN_OR_RETURN(Channel::View msg,
                             channel_->ReceiveViewInParent());
     switch (msg.first) {
       case MsgType::kResult: {
-        Status consumed = consume(msg.second);
+        Result<bool> done = consume(msg.second);
         channel_->ReleaseInParent();
-        return consumed;
+        if (!done.ok()) return done.status();
+        if (*done) {
+          --in_flight_;
+          return Status::OK();
+        }
+        break;  // the response goes on in the next frame
       }
       case MsgType::kError: {
         Status error = DecodeStatus(msg.second);
         channel_->ReleaseInParent();
+        --in_flight_;
         return error;
       }
       case MsgType::kCallbackRequest: {
         Result<std::vector<uint8_t>> reply = on_callback(msg.second);
         channel_->ReleaseInParent();
+        if (reply.ok() && reply->size() > channel_->data_capacity()) {
+          reply = InvalidArgument(StringPrintf(
+              "callback reply of %zu bytes exceeds the channel's %zu-byte "
+              "payload limit",
+              reply->size(), channel_->data_capacity()));
+        }
         if (!reply.ok()) {
           // Surface the callback failure to the child; it will fail the UDF
           // and ship the error back as kError.

@@ -7,22 +7,25 @@
 /// query ... created once per query (not once per function invocation)"; the
 /// UDF layer follows the same policy.
 ///
-/// Protocol (all over one Channel — ring or message transport):
+/// Protocol (all over one Channel):
 ///
 ///   parent                         child
 ///   ------ kRequest(payload) --->  handler runs...
 ///   <----- kCallbackRequest ----   (0..n times; parent answers each)
-///   ------ kCallbackReply ----->
-///   <----- kResult | kError ----
+///   ------ kCallbackReply ----->   (or kError if the callback failed)
+///   <----- kResult... | kError -
 ///
-/// Errors cross the boundary as serialized Status (code + message).
+/// Errors cross the boundary as serialized Status (code + message). A
+/// response too big for one frame arrives as several kResult frames, which
+/// the parent's consumer reads in order until it says the response is
+/// complete.
 ///
-/// On the ring transport the parent may keep up to `send_queue_depth()` (2)
-/// requests committed before collecting the first result — the pipelined
+/// The parent may keep up to `Channel::kSendQueueDepth` (2) requests
+/// committed before collecting the first result — the pipelined
 /// double-buffering of Section 2.5 batching without any copy into a private
 /// buffer: `PrepareRequest`/`BeginExecutePrepared` serialize the request
-/// straight into shared memory, and `FinishExecuteWith` hands the result to
-/// the caller as an in-place view before releasing it.
+/// straight into shared memory, and `FinishExecuteWith` hands each result
+/// frame to the caller as an in-place view before releasing it.
 
 #include <sys/types.h>
 
@@ -42,71 +45,70 @@ Status DecodeStatus(Slice payload);
 
 class RemoteExecutor {
  public:
-  /// Runs in the child for each kRequest. May issue callbacks by sending
-  /// kCallbackRequest on `channel` and awaiting kCallbackReply. Returns the
-  /// result payload, or an error to be shipped back as kError. `request` may
-  /// be an in-place view into transport memory: a handler that issues
-  /// callbacks or sends its own zero-copy response must decode what it needs
-  /// and call `channel->ReleaseInChild()` first (decode-then-release). A
-  /// handler that ships its own kResult (zero-copy) calls
-  /// `channel->MarkResponseSent()` and its return value is ignored.
-  using RequestHandler =
-      std::function<Result<std::vector<uint8_t>>(Slice request,
-                                                 Channel* channel)>;
+  /// Runs in the child for each kRequest and answers it itself, with one
+  /// or more kResult frames, or returns an error, which the child loop ships
+  /// as kError. It may issue callbacks by sending kCallbackRequest on
+  /// `channel` and awaiting kCallbackReply. `request` is an in-place view
+  /// into the ring: a handler that issues callbacks must decode what it
+  /// needs and call `channel->ReleaseInChild()` first (decode-then-release).
+  using RequestHandler = std::function<Status(Slice request, Channel* channel)>;
 
   /// Answers a child callback in the parent.
   using CallbackHandler =
       std::function<Result<std::vector<uint8_t>>(Slice payload)>;
 
-  /// Consumes a result payload in place (before the frame is released).
-  using ResultConsumer = std::function<Status(Slice payload)>;
+  /// Consumes one result frame in place (before it is released) and says
+  /// whether the response is complete.
+  using ResultConsumer = std::function<Result<bool>(Slice payload)>;
 
   /// Forks an executor child running `handler` in a loop. The child inherits
   /// the parent's full image (so native UDF registries resolve identically —
   /// the same effect as the paper's executors being built from the server
   /// binary).
-  static Result<std::unique_ptr<RemoteExecutor>> Spawn(
-      size_t shm_capacity, RequestHandler handler,
-      Transport transport = Transport::kRing);
+  static Result<std::unique_ptr<RemoteExecutor>> Spawn(size_t shm_capacity,
+                                                       RequestHandler handler);
 
   ~RemoteExecutor();
   RemoteExecutor(const RemoteExecutor&) = delete;
   RemoteExecutor& operator=(const RemoteExecutor&) = delete;
 
-  /// Parent side: executes one request, servicing callbacks until the result
-  /// arrives. Equivalent to BeginExecute + FinishExecute.
+  /// Parent side: executes one request whose response is one frame,
+  /// servicing callbacks until it arrives. Equivalent to BeginExecute +
+  /// FinishExecute.
   Result<std::vector<uint8_t>> Execute(Slice request,
                                        const CallbackHandler& on_callback);
 
   /// Parent side, pipelined form: ships the request to the child and returns
   /// immediately, leaving it in flight. The caller overlaps useful work —
   /// serializing the *next* request — with the child's execution, then calls
-  /// FinishExecute to collect the result. At most `send_queue_depth()`
-  /// requests may be in flight per executor (1 on the message transport,
-  /// whose channel has a single slot per direction; 2 on the ring);
-  /// exceeding the depth is an error.
+  /// FinishExecute to collect the result. At most `Channel::kSendQueueDepth`
+  /// requests may be in flight per executor; exceeding the depth is an
+  /// error.
   Status BeginExecute(Slice request);
 
   /// Zero-copy form of BeginExecute: reserve up to `max_len` bytes in the
   /// to-child ring, serialize the request into the returned region, then
-  /// commit it with BeginExecutePrepared. On the message transport the
-  /// region is an internal scratch buffer (one copy, as before).
+  /// commit it with BeginExecutePrepared.
   Result<uint8_t*> PrepareRequest(size_t max_len);
   Status BeginExecutePrepared(size_t actual_len);
 
   /// Parent side: services callbacks for the oldest in-flight request until
-  /// its result (or error) arrives. Must follow a successful BeginExecute*.
+  /// its one-frame result (or error) arrives. Must follow a successful
+  /// BeginExecute*.
   Result<std::vector<uint8_t>> FinishExecute(const CallbackHandler& on_callback);
 
-  /// Like FinishExecute but hands the result payload to `consume` as an
-  /// in-place view (zero-copy on the ring transport) and releases it after
-  /// `consume` returns.
+  /// Like FinishExecute but hands each result frame to `consume` as an
+  /// in-place view, releasing it after `consume` returns, until `consume`
+  /// says the response is complete. A callback reply larger than the
+  /// channel's payload limit goes to the child as an InvalidArgument kError,
+  /// so the request fails and the child stays in step.
   Status FinishExecuteWith(const CallbackHandler& on_callback,
                            const ResultConsumer& consume);
 
-  /// Requests currently committed but not yet finished.
+  /// Requests committed whose responses have not been read in full. After a
+  /// failed Finish*, a nonzero count means the executor is out of step with
+  /// its child and must be discarded.
   size_t in_flight() const { return in_flight_; }
-  size_t send_queue_depth() const { return channel_->send_queue_depth(); }
 
   /// Asks the child to exit and reaps it. Called by the destructor too.
   Status Shutdown();

@@ -10,7 +10,7 @@
 /// compilations — and timing how long the crossing takes. This registry makes
 /// those quantities first-class in the live engine instead of ad-hoc bench
 /// counters: every subsystem registers counters/histograms by dotted name
-/// ("udf.jni.invocations", "ipc.shm.wait_ns", ...) and the engine exposes
+/// ("udf.jni.invocations", "ipc.shm.messages", ...) and the engine exposes
 /// them through `SHOW METRICS`, `DumpText()`/`DumpJson()` and per-query
 /// snapshot deltas in `QueryResult`.
 ///

@@ -73,6 +73,16 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
 }
 
 BufferPool::~BufferPool() {
+  StopWorkers();
+  Status s = FlushAll();
+  if (!s.ok()) {
+    JAGUAR_LOG(kWarning) << "buffer pool shutdown flush failed, dirty pages "
+                            "may be lost: "
+                         << s.ToString();
+  }
+}
+
+void BufferPool::StopWorkers() {
   {
     std::lock_guard<std::mutex> lk(ra_mutex_);
     stop_threads_ = true;
@@ -80,12 +90,6 @@ BufferPool::~BufferPool() {
   ra_cv_.notify_all();
   if (ra_thread_.joinable()) ra_thread_.join();
   if (bg_thread_.joinable()) bg_thread_.join();
-  Status s = FlushAll();
-  if (!s.ok()) {
-    JAGUAR_LOG(kWarning) << "buffer pool shutdown flush failed, dirty pages "
-                            "may be lost: "
-                         << s.ToString();
-  }
 }
 
 void BufferPool::CountIoWait() {

@@ -148,6 +148,11 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
+  /// Stops and joins the readahead worker and the background writer
+  /// (idempotent; the destructor calls it too). The owner calls it before
+  /// closing the file the workers read and write.
+  void StopWorkers();
+
   /// Pins page `id`, reading it from disk on miss. Concurrent fetches of the
   /// same missing page coalesce into one disk read.
   Result<PageGuard> FetchPage(PageId id);

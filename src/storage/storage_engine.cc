@@ -218,6 +218,9 @@ Status StorageEngine::Checkpoint() {
 
 Status StorageEngine::Close() {
   if (pool_ != nullptr) {
+    // The readahead worker and background writer use the data file; they
+    // must be gone before it closes.
+    pool_->StopWorkers();
     JAGUAR_RETURN_IF_ERROR(Checkpoint());
   }
   if (wal_ != nullptr) {

@@ -45,7 +45,8 @@ class StorageEngine {
       const wal::WalOptions& wal_options = wal::WalOptions(),
       const BufferPoolConfig& pool_config = BufferPoolConfig());
 
-  /// Checkpoints, flushes everything and closes the files.
+  /// Stops the buffer pool's background workers, checkpoints, flushes
+  /// everything and closes the files.
   Status Close();
 
   BufferPool* buffer_pool() { return pool_.get(); }

@@ -27,7 +27,7 @@ obs::Counter* PipelinedChunks() {
 }
 
 /// Request chunks serialized directly into the shared-memory ring (no
-/// intermediate request buffer) on the zero-copy transport.
+/// intermediate request buffer).
 obs::Counter* ZeroCopyBatches() {
   static obs::Counter* c =
       obs::MetricsRegistry::Global()->GetCounter("ipc.ring.zero_copy_batches");
@@ -54,6 +54,9 @@ Result<std::vector<Value>> RunChunkedBatch(
 ///     the watchdog SIGKILLs it via Discard and the pool respawns lazily.
 ///     Only this worker's lease dies; concurrent workers' leases are healthy.
 ///   - IoError: the child died on its own; discard as before.
+///   - any other failure with a response still unread (a pipelined chunk
+///     behind a failed one, a half-decoded result): the executor is out of
+///     step with its child, so discard it too.
 /// Shared by Designs 2 (IC++) and 4 (IJNI) — the two "kill the process"
 /// cells of Table 1's security column.
 Result<std::vector<Value>> RunGuardedBatch(
@@ -70,7 +73,7 @@ Result<std::vector<Value>> RunGuardedBatch(
     if (results.status().IsDeadlineExceeded()) {
       WatchdogKills()->Add();
       lease->Discard();
-    } else if (results.status().IsIoError()) {
+    } else if (results.status().IsIoError() || lease->get()->in_flight() > 0) {
       lease->Discard();
     }
   }
@@ -108,24 +111,25 @@ size_t BatchChunkEnd(const std::vector<std::vector<Value>>& batch,
   return end;
 }
 
-/// Decodes a count-prefixed batch of result values, checking the count
-/// against what the request carried. `payload` may be an in-place view into
-/// transport memory (values copy out as they decode).
-Result<std::vector<Value>> DecodeResultBatch(Slice payload, size_t expected) {
+/// Decodes one count-prefixed result frame, appending its values to `out`.
+/// A response arrives as one frame, or as several when one would exceed the
+/// channel's payload limit; each must carry at least one of the `remaining`
+/// values the request still owes. `payload` may be an in-place view into
+/// the ring (values copy out as they decode).
+Status DecodeResultFrame(Slice payload, size_t remaining,
+                         std::vector<Value>* out) {
   BufferReader r(payload);
   JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
-  if (count != expected) {
+  if (count == 0 || count > remaining) {
     return Corruption(StringPrintf(
-        "executor returned %u results for a batch of %zu",
-        static_cast<unsigned>(count), expected));
+        "executor returned %u results with %zu outstanding",
+        static_cast<unsigned>(count), remaining));
   }
-  std::vector<Value> results;
-  results.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     JAGUAR_ASSIGN_OR_RETURN(Value v, Value::ReadFrom(&r));
-    results.push_back(std::move(v));
+    out->push_back(std::move(v));
   }
-  return results;
+  return Status::OK();
 }
 
 // Callback wire format (child → parent payloads):
@@ -139,10 +143,10 @@ constexpr uint8_t kOpFetch = 1;
 /// the channel (each callback is a full round trip — the cost Figure 8
 /// shows dominating IC++).
 ///
-/// On the ring transport the parent may have pipelined the *next* request
-/// behind the callback reply (the to-child direction is FIFO), so the round
-/// trip must set aside any kRequest frame it sees and keep waiting — the
-/// stash is drained by the child loop's next receive.
+/// The parent may have pipelined the *next* request behind the callback
+/// reply (the to-child direction is FIFO), so the round trip must set aside
+/// any kRequest frame it sees and keep waiting — the stash is drained by the
+/// child loop's next receive.
 class ForwardingCallbackHandler : public UdfCallbackHandler {
  public:
   explicit ForwardingCallbackHandler(ipc::Channel* channel)
@@ -233,8 +237,8 @@ struct ChunkPlan {
   size_t len;
 };
 
-/// Serializes rows [c.begin, c.end) of `args_batch` through `w`, which may
-/// back onto ring memory (fixed) or a private vector (owned).
+/// Serializes rows [c.begin, c.end) of `args_batch` through `w`, which backs
+/// onto the chunk's reservation in the ring.
 Status SerializeChunk(const ChunkPlan& c,
                       const std::vector<std::vector<Value>>& args_batch,
                       const std::function<void(BufferWriter*)>& write_header,
@@ -252,18 +256,13 @@ Status SerializeChunk(const ChunkPlan& c,
 }
 
 /// Ships `args_batch` through a leased executor, chunked to the shm segment
-/// and pipelined: while the child executes chunk k, the parent serializes
-/// chunk k+1, so for multi-chunk batches the serialization cost hides behind
-/// the child's execution (double buffering across the process boundary).
-///
-/// Two paths, chosen by the executor's transport:
-///   - zero-copy (ring): each chunk's exact size is precomputed, the chunk
-///     is serialized *directly into the to-child ring* and committed, and —
-///     because the ring holds two maximal frames — chunk k+1 is committed
-///     while chunk k is still executing. Results decode in place from the
-///     ring view. No request or reply buffer exists in the parent.
-///   - message: the classic flow — serialize into a private buffer, send
-///     (copy into shm), serialize the next chunk while the child works.
+/// and pipelined: each chunk's exact size is precomputed, the chunk is
+/// serialized *directly into the to-child ring* and committed, and —
+/// because the ring holds two maximal frames — chunk k+1 is committed while
+/// the child executes chunk k, so for multi-chunk batches the serialization
+/// cost hides behind the child's execution (double buffering across the
+/// process boundary). Results decode in place from the ring's frames. No
+/// request or reply buffer exists in the parent.
 ///
 /// `write_header` prepends the design-specific request header to each chunk;
 /// `header_bytes` is its serialized size including the count prefix (for the
@@ -273,109 +272,55 @@ Result<std::vector<Value>> RunChunkedBatch(
     const std::vector<std::vector<Value>>& args_batch, size_t header_bytes,
     size_t shm_capacity, UdfContext* ctx,
     const std::function<void(BufferWriter*)>& write_header) {
-  std::vector<Value> results;
-  results.reserve(args_batch.size());
-
-  const bool zero_copy = executor->channel()->zero_copy() &&
-                         executor->send_queue_depth() > 1;
-  if (zero_copy) {
-    // Plan every chunk upfront: exact sizes let us reserve exactly what each
-    // chunk needs in the ring, and an oversized single row fails before
-    // anything has been committed (mid-pipeline failure would leave a chunk
-    // in flight).
-    std::vector<ChunkPlan> chunks;
-    size_t begin = 0;
-    while (begin < args_batch.size()) {
-      const size_t end =
-          BatchChunkEnd(args_batch, begin, header_bytes, shm_capacity);
-      size_t len = header_bytes;
-      for (size_t row = begin; row < end; ++row) {
-        len += ArgRowSerializedSize(args_batch[row]);
-      }
-      if (len > shm_capacity) {
-        return InvalidArgument(StringPrintf(
-            "serialized request (%zu bytes) exceeds channel capacity (%zu)",
-            len, shm_capacity));
-      }
-      chunks.push_back(ChunkPlan{begin, end, len});
-      begin = end;
+  // Plan every chunk upfront: exact sizes let us reserve exactly what each
+  // chunk needs in the ring, and an oversized single row fails before
+  // anything has been committed (mid-pipeline failure would leave a chunk
+  // in flight).
+  std::vector<ChunkPlan> chunks;
+  size_t begin = 0;
+  while (begin < args_batch.size()) {
+    const size_t end =
+        BatchChunkEnd(args_batch, begin, header_bytes, shm_capacity);
+    size_t len = header_bytes;
+    for (size_t row = begin; row < end; ++row) {
+      len += ArgRowSerializedSize(args_batch[row]);
     }
-
-    auto commit = [&](const ChunkPlan& c) -> Status {
-      if (c.end - c.begin > 1) BatchMessages()->Add();
-      JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, executor->PrepareRequest(c.len));
-      BufferWriter w(buf, c.len);
-      JAGUAR_RETURN_IF_ERROR(SerializeChunk(c, args_batch, write_header, &w));
-      JAGUAR_RETURN_IF_ERROR(executor->BeginExecutePrepared(c.len));
-      ZeroCopyBatches()->Add();
-      return Status::OK();
-    };
-
-    JAGUAR_RETURN_IF_ERROR(commit(chunks[0]));
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      if (i + 1 < chunks.size()) {
-        // Chunk i is in flight; serialize-and-commit chunk i+1 straight into
-        // the ring while the child works on i.
-        JAGUAR_RETURN_IF_ERROR(commit(chunks[i + 1]));
-        PipelinedChunks()->Add();
-      }
-      const size_t expected = chunks[i].end - chunks[i].begin;
-      JAGUAR_RETURN_IF_ERROR(executor->FinishExecuteWith(
-          MakeParentCallbackBridge(ctx),
-          [&results, expected](Slice payload) -> Status {
-            JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> chunk,
-                                    DecodeResultBatch(payload, expected));
-            for (Value& v : chunk) results.push_back(std::move(v));
-            return Status::OK();
-          }));
+    if (len > shm_capacity) {
+      return InvalidArgument(StringPrintf(
+          "serialized request (%zu bytes) exceeds channel capacity (%zu)",
+          len, shm_capacity));
     }
-    return results;
+    chunks.push_back(ChunkPlan{begin, end, len});
+    begin = end;
   }
 
-  // Message transport: serialize into a private buffer, send, overlap the
-  // next chunk's serialization with the child's execution.
-  auto serialize = [&](size_t chunk_begin, size_t chunk_end) {
-    BufferWriter w;
-    write_header(&w);
-    BatchCodec::WriteCount(&w, chunk_end - chunk_begin);
-    for (size_t row = chunk_begin; row < chunk_end; ++row) {
-      w.PutU32(static_cast<uint32_t>(args_batch[row].size()));
-      for (const Value& v : args_batch[row]) v.WriteTo(&w);
-    }
-    return w.Release();
+  auto commit = [&](const ChunkPlan& c) -> Status {
+    if (c.end - c.begin > 1) BatchMessages()->Add();
+    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, executor->PrepareRequest(c.len));
+    BufferWriter w(buf, c.len);
+    JAGUAR_RETURN_IF_ERROR(SerializeChunk(c, args_batch, write_header, &w));
+    JAGUAR_RETURN_IF_ERROR(executor->BeginExecutePrepared(c.len));
+    ZeroCopyBatches()->Add();
+    return Status::OK();
   };
 
-  size_t begin = 0;
-  size_t end = BatchChunkEnd(args_batch, begin, header_bytes, shm_capacity);
-  std::vector<uint8_t> request = serialize(begin, end);
-  while (true) {
-    if (end - begin > 1) BatchMessages()->Add();
-    JAGUAR_RETURN_IF_ERROR(executor->BeginExecute(Slice(request)));
-
-    // Chunk `begin..end` is now in flight; serialize the next chunk while
-    // the child works. (Callbacks the child issues meanwhile just wait in
-    // the channel until FinishExecute services them.)
-    const size_t next_begin = end;
-    size_t next_end = next_begin;
-    std::vector<uint8_t> next_request;
-    if (next_begin < args_batch.size()) {
-      next_end =
-          BatchChunkEnd(args_batch, next_begin, header_bytes, shm_capacity);
-      next_request = serialize(next_begin, next_end);
+  std::vector<Value> results;
+  results.reserve(args_batch.size());
+  JAGUAR_RETURN_IF_ERROR(commit(chunks[0]));
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    if (i + 1 < chunks.size()) {
+      // Chunk i is in flight; serialize-and-commit chunk i+1 straight into
+      // the ring while the child works on i.
+      JAGUAR_RETURN_IF_ERROR(commit(chunks[i + 1]));
       PipelinedChunks()->Add();
     }
-
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<uint8_t> reply,
-                            executor->FinishExecute(
-                                MakeParentCallbackBridge(ctx)));
-    JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> chunk,
-                            DecodeResultBatch(Slice(reply), end - begin));
-    for (Value& v : chunk) results.push_back(std::move(v));
-
-    if (next_begin >= args_batch.size()) break;
-    begin = next_begin;
-    end = next_end;
-    request = std::move(next_request);
+    JAGUAR_RETURN_IF_ERROR(executor->FinishExecuteWith(
+        MakeParentCallbackBridge(ctx),
+        [&results, end = chunks[i].end](Slice payload) -> Result<bool> {
+          JAGUAR_RETURN_IF_ERROR(
+              DecodeResultFrame(payload, end - results.size(), &results));
+          return results.size() == end;
+        }));
   }
   return results;
 }
@@ -392,33 +337,48 @@ Result<std::vector<Value>> ReadArgRow(BufferReader* r) {
   return args;
 }
 
-/// Ships a computed result batch back to the parent. On the ring transport
-/// the values serialize directly into the to-parent ring and the response is
-/// marked sent (the child loop skips its own send); otherwise they serialize
-/// into an owned buffer the loop copies out. Must only be called once every
-/// result value is finished: a held ring reservation would block the child's
-/// own callback sends behind it.
-Result<std::vector<uint8_t>> ShipResultBatch(ipc::Channel* channel,
-                                             const std::vector<Value>& outs) {
-  size_t len = 4;
-  for (const Value& v : outs) len += v.SerializedSize();
-  if (channel->zero_copy() && len <= channel->data_capacity()) {
-    JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, channel->PrepareToParent(len));
-    BufferWriter w(buf, len);
-    BatchCodec::WriteCount(&w, outs.size());
-    for (const Value& v : outs) v.WriteTo(&w);
-    if (w.overflowed() || w.size() != len) {
-      return Internal("serialized result size disagrees with precomputed size");
-    }
-    JAGUAR_RETURN_IF_ERROR(
-        channel->CommitToParent(ipc::MsgType::kResult, len));
-    channel->MarkResponseSent();
-    return std::vector<uint8_t>();
+/// Serializes result values [begin, end) straight into the to-parent ring
+/// as one kResult frame of `len` payload bytes.
+Status ShipResultFrame(ipc::Channel* channel, const std::vector<Value>& outs,
+                       size_t begin, size_t end, size_t len) {
+  JAGUAR_ASSIGN_OR_RETURN(uint8_t* buf, channel->PrepareToParent(len));
+  BufferWriter w(buf, len);
+  BatchCodec::WriteCount(&w, end - begin);
+  for (size_t i = begin; i < end; ++i) outs[i].WriteTo(&w);
+  if (w.overflowed() || w.size() != len) {
+    return Internal("serialized result size disagrees with precomputed size");
   }
-  BufferWriter w;
-  BatchCodec::WriteCount(&w, outs.size());
-  for (const Value& v : outs) v.WriteTo(&w);
-  return w.Release();
+  return channel->CommitToParent(ipc::MsgType::kResult, len);
+}
+
+/// Ships a computed result batch back to the parent, serialized directly
+/// into the to-parent ring: one frame when the batch fits the channel's
+/// payload limit, otherwise as few frames as fit, in row order. A single
+/// value too large for any frame fails the request with InvalidArgument
+/// before anything is sent, as an oversized argument row does. Must only be
+/// called once every result value is finished: a held ring reservation
+/// would block the child's own callback sends behind it.
+Status ShipResults(ipc::Channel* channel, const std::vector<Value>& outs) {
+  const size_t limit = channel->data_capacity();
+  for (const Value& v : outs) {
+    if (4 + v.SerializedSize() > limit) {
+      return InvalidArgument(StringPrintf(
+          "UDF result of %zu bytes exceeds the channel's %zu-byte payload "
+          "limit",
+          v.SerializedSize(), limit));
+    }
+  }
+  size_t begin = 0;
+  do {
+    size_t end = begin;
+    size_t len = 4;
+    while (end < outs.size() && len + outs[end].SerializedSize() <= limit) {
+      len += outs[end++].SerializedSize();
+    }
+    JAGUAR_RETURN_IF_ERROR(ShipResultFrame(channel, outs, begin, end, len));
+    begin = end;
+  } while (begin < outs.size());
+  return Status::OK();
 }
 
 /// Runs inside the executor child for each request: a count-prefixed batch
@@ -426,12 +386,11 @@ Result<std::vector<uint8_t>> ShipResultBatch(ipc::Channel* channel,
 /// per-invocation callback quota means the same thing in both modes). One
 /// failing row fails the whole request — the parent fails the batch.
 ///
-/// `request` is an in-place view into transport memory: all rows decode into
-/// owned Values first, then the frame is released *before* any row executes
+/// `request` is an in-place view into the ring: all rows decode into owned
+/// Values first, then the frame is released *before* any row executes
 /// (decode-then-release), so callbacks and the pipelined next request can
 /// flow through the ring while this batch runs.
-Result<std::vector<uint8_t>> ChildHandleRequest(Slice request,
-                                                ipc::Channel* channel) {
+Status ChildHandleRequest(Slice request, ipc::Channel* channel) {
   BufferReader r(request);
   JAGUAR_ASSIGN_OR_RETURN(std::string impl_name, r.ReadString());
   JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
@@ -455,15 +414,14 @@ Result<std::vector<uint8_t>> ChildHandleRequest(Slice request,
     JAGUAR_RETURN_IF_ERROR(entry->fn(args, &ctx, &out));
     outs.push_back(std::move(out));
   }
-  return ShipResultBatch(channel, outs);
+  return ShipResults(channel, outs);
 }
 
 }  // namespace
 
 Result<std::unique_ptr<IsolatedNativeRunner>> IsolatedNativeRunner::Spawn(
     const std::string& impl_name, TypeId return_type,
-    std::vector<TypeId> arg_types, size_t shm_capacity, size_t pool_size,
-    ipc::Transport transport) {
+    std::vector<TypeId> arg_types, size_t shm_capacity, size_t pool_size) {
   // Fail fast in the parent if the function does not exist (the child would
   // only discover it at first request).
   JAGUAR_RETURN_IF_ERROR(
@@ -475,9 +433,8 @@ Result<std::unique_ptr<IsolatedNativeRunner>> IsolatedNativeRunner::Spawn(
   runner->arg_types_ = std::move(arg_types);
   runner->shm_capacity_ = shm_capacity;
   runner->pool_ = std::make_unique<ExecutorPool>(
-      [shm_capacity, transport] {
-        return ipc::RemoteExecutor::Spawn(shm_capacity, &ChildHandleRequest,
-                                          transport);
+      [shm_capacity] {
+        return ipc::RemoteExecutor::Spawn(shm_capacity, &ChildHandleRequest);
       },
       pool_size);
   // Pre-spawn every executor now (runner creation happens on the query's
@@ -512,15 +469,13 @@ Result<std::vector<Value>> IsolatedNativeRunner::DoInvokeBatch(
 }
 
 UdfManager::RunnerFactory MakeIsolatedRunnerFactory(size_t shm_capacity,
-                                                    size_t pool_size,
-                                                    ipc::Transport transport) {
-  return [shm_capacity, pool_size, transport](const UdfInfo& info)
+                                                    size_t pool_size) {
+  return [shm_capacity, pool_size](const UdfInfo& info)
              -> Result<std::unique_ptr<UdfRunner>> {
     JAGUAR_ASSIGN_OR_RETURN(
         std::unique_ptr<IsolatedNativeRunner> runner,
         IsolatedNativeRunner::Spawn(info.impl_name, info.return_type,
-                                    info.arg_types, shm_capacity, pool_size,
-                                    transport));
+                                    info.arg_types, shm_capacity, pool_size));
     return std::unique_ptr<UdfRunner>(std::move(runner));
   };
 }
@@ -601,8 +556,8 @@ Result<Value> ChildRunVmItem(IsolatedVmState* state,
 /// ExecContext — per-invocation quotas and heap state are identical to the
 /// scalar protocol; only the process crossing is amortized. Same
 /// decode-then-release discipline as ChildHandleRequest.
-Result<std::vector<uint8_t>> ChildHandleVmRequest(
-    IsolatedVmState* state, Slice request, ipc::Channel* channel) {
+Status ChildHandleVmRequest(IsolatedVmState* state, Slice request,
+                            ipc::Channel* channel) {
   BufferReader r(request);
   JAGUAR_ASSIGN_OR_RETURN(uint32_t count, BatchCodec::ReadCount(&r));
   std::vector<std::vector<Value>> rows;
@@ -621,14 +576,14 @@ Result<std::vector<uint8_t>> ChildHandleVmRequest(
     JAGUAR_ASSIGN_OR_RETURN(Value out, ChildRunVmItem(state, args, &udf_ctx));
     outs.push_back(std::move(out));
   }
-  return ShipResultBatch(channel, outs);
+  return ShipResults(channel, outs);
 }
 
 }  // namespace
 
 Result<std::unique_ptr<IsolatedJvmRunner>> IsolatedJvmRunner::Spawn(
     const UdfInfo& info, jvm::ResourceLimits limits, size_t shm_capacity,
-    size_t pool_size, ipc::Transport transport) {
+    size_t pool_size) {
   size_t dot = info.impl_name.find('.');
   if (dot == std::string::npos) {
     return InvalidArgument("Design-4 UDF entry point must be 'Class.method'");
@@ -662,8 +617,8 @@ Result<std::unique_ptr<IsolatedJvmRunner>> IsolatedJvmRunner::Spawn(
   };
   ipc::RemoteExecutor::RequestHandler handler = runner->handler_;
   runner->pool_ = std::make_unique<ExecutorPool>(
-      [shm_capacity, handler, transport] {
-        return ipc::RemoteExecutor::Spawn(shm_capacity, handler, transport);
+      [shm_capacity, handler] {
+        return ipc::RemoteExecutor::Spawn(shm_capacity, handler);
       },
       pool_size);
   JAGUAR_RETURN_IF_ERROR(runner->pool_->Prewarm(pool_size));
@@ -694,14 +649,12 @@ Result<std::vector<Value>> IsolatedJvmRunner::DoInvokeBatch(
 }
 
 UdfManager::RunnerFactory MakeIsolatedJvmRunnerFactory(
-    jvm::ResourceLimits limits, size_t shm_capacity, size_t pool_size,
-    ipc::Transport transport) {
-  return [limits, shm_capacity, pool_size, transport](const UdfInfo& info)
+    jvm::ResourceLimits limits, size_t shm_capacity, size_t pool_size) {
+  return [limits, shm_capacity, pool_size](const UdfInfo& info)
              -> Result<std::unique_ptr<UdfRunner>> {
     JAGUAR_ASSIGN_OR_RETURN(
         std::unique_ptr<IsolatedJvmRunner> runner,
-        IsolatedJvmRunner::Spawn(info, limits, shm_capacity, pool_size,
-                                 transport));
+        IsolatedJvmRunner::Spawn(info, limits, shm_capacity, pool_size));
     return std::unique_ptr<UdfRunner>(std::move(runner));
   };
 }

@@ -3,25 +3,26 @@
 
 /// \file isolated_udf_runner.h
 /// Design 2 ("IC++"): native UDFs running in a separate executor process,
-/// talking to the server over a shared-memory channel (src/ipc).
+/// talking to the server over a shared-memory ring channel (src/ipc).
 ///
 /// Per invocation, the argument values are serialized into the shared-memory
-/// segment, the request is posted, and the parent then services callback
-/// requests until the result (or an error) comes back — the exact hand-off
+/// ring, the request is posted, and the parent then services callback
+/// requests until the result (or an error) comes back — the hand-off
 /// protocol of Section 4.1. The process-switch cost this design pays per
 /// crossing is what Figures 5 and 8 measure.
 ///
 /// Request/response payloads are uniformly count-prefixed (`BatchCodec`): a
 /// scalar invocation is a batch of one, and `InvokeBatch` ships a whole
 /// argument batch in **one** boundary crossing (chunked only when the
-/// serialized batch would overflow the shared-memory segment) — the Section
-/// 2.5 batching amortization. When a batch spans multiple chunks the
-/// crossing is *pipelined*: the parent serializes chunk k+1 while the child
-/// executes chunk k (double buffering across the boundary). On the default
-/// ring transport the pipeline goes further: chunk k+1 is serialized
-/// *directly into the shared-memory ring* and committed while chunk k is
-/// still executing, and results are decoded in place from the ring — no
-/// intermediate request/reply buffers at all (`ipc.ring.zero_copy_batches`).
+/// serialized arguments would overflow the channel's payload limit) — the
+/// Section 2.5 batching amortization. When a batch spans multiple chunks the
+/// crossing is *pipelined*: chunk k+1 is serialized *directly into the
+/// shared-memory ring* and committed while the child executes chunk k, and
+/// results are decoded in place from the ring — no intermediate
+/// request/reply buffers at all (`ipc.ring.zero_copy_batches`). A chunk's
+/// results come back as one frame, or as several when one frame would
+/// exceed the payload limit; a single result value that exceeds it fails
+/// the batch with InvalidArgument and keeps the executor.
 ///
 /// The runner is backed by an `ExecutorPool` of up to `pool_size` executor
 /// processes, so the N worker threads of a morsel-driven parallel scan can
@@ -49,13 +50,10 @@ class IsolatedNativeRunner : public UdfRunner {
   /// \param shm_capacity per-direction shared-memory data size; must hold
   /// the largest serialized argument list (default fits Rel10000 rows).
   /// \param pool_size executor processes (one per parallel scan worker).
-  /// \param transport IPC transport for every executor channel (the zero-copy
-  /// ring by default; "message" keeps the copying semaphore channel).
   static Result<std::unique_ptr<IsolatedNativeRunner>> Spawn(
       const std::string& impl_name, TypeId return_type,
       std::vector<TypeId> arg_types, size_t shm_capacity = 1 << 20,
-      size_t pool_size = 1,
-      ipc::Transport transport = ipc::Transport::kRing);
+      size_t pool_size = 1);
 
   std::string design_label() const override { return "IC++"; }
 
@@ -70,10 +68,10 @@ class IsolatedNativeRunner : public UdfRunner {
   /// Ensures at least n executors are alive (capped at the pool size).
   Status Prewarm(size_t n) { return pool_->Prewarm(n); }
 
-  /// Receive timeout for the shared-memory channels, forwarded to
-  /// `Channel::set_timeout_seconds` (and re-applied after a respawn).
-  /// Fault-injection tests shorten it so a killed child fails the
-  /// invocation quickly.
+  /// Silent-peer timeout for the shared-memory channels, forwarded to
+  /// `Channel::set_timeout_seconds` (and re-applied after a respawn). A
+  /// child that exits fails the invocation within one ~100 ms park slice
+  /// whatever this is.
   void set_ipc_timeout_seconds(unsigned seconds);
 
  protected:
@@ -95,8 +93,7 @@ class IsolatedNativeRunner : public UdfRunner {
 
 /// UdfManager factory for `UdfLanguage::kNativeIsolated`.
 UdfManager::RunnerFactory MakeIsolatedRunnerFactory(
-    size_t shm_capacity = 1 << 20, size_t pool_size = 1,
-    ipc::Transport transport = ipc::Transport::kRing);
+    size_t shm_capacity = 1 << 20, size_t pool_size = 1);
 
 /// Design 4 ("IJNI"): a JJava UDF inside a JagVM hosted by a separate
 /// executor process — Table 1's fourth cell, which the paper only
@@ -108,8 +105,7 @@ class IsolatedJvmRunner : public UdfRunner {
  public:
   static Result<std::unique_ptr<IsolatedJvmRunner>> Spawn(
       const UdfInfo& info, jvm::ResourceLimits limits,
-      size_t shm_capacity = 1 << 20, size_t pool_size = 1,
-      ipc::Transport transport = ipc::Transport::kRing);
+      size_t shm_capacity = 1 << 20, size_t pool_size = 1);
 
   std::string design_label() const override { return "IJNI"; }
 
@@ -145,7 +141,7 @@ class IsolatedJvmRunner : public UdfRunner {
 /// UdfManager factory for `UdfLanguage::kJJavaIsolated`.
 UdfManager::RunnerFactory MakeIsolatedJvmRunnerFactory(
     jvm::ResourceLimits limits, size_t shm_capacity = 1 << 20,
-    size_t pool_size = 1, ipc::Transport transport = ipc::Transport::kRing);
+    size_t pool_size = 1);
 
 }  // namespace jaguar
 

@@ -13,7 +13,6 @@
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "ipc/remote_executor.h"
-#include "ipc/shm_channel.h"
 #include "jjc/jjc.h"
 #include "sfi/sfi.h"
 #include "temp_db.h"
@@ -29,8 +28,8 @@ namespace {
 // ipc substrate
 // ---------------------------------------------------------------------------
 
-TEST(ShmChannelTest, ParentChildPingPong) {
-  auto channel = ipc::ShmChannel::Create(4096).value();
+TEST(RingChannelTest, ParentChildPingPong) {
+  auto channel = ipc::Channel::Create(4096).value();
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -56,8 +55,8 @@ TEST(ShmChannelTest, ParentChildPingPong) {
   EXPECT_TRUE(WIFEXITED(status));
 }
 
-TEST(ShmChannelTest, OversizePayloadRejected) {
-  auto channel = ipc::ShmChannel::Create(64).value();
+TEST(RingChannelTest, OversizePayloadRejected) {
+  auto channel = ipc::Channel::Create(64).value();
   std::vector<uint8_t> big(65);
   EXPECT_TRUE(channel->SendToChild(ipc::MsgType::kRequest, Slice(big))
                   .IsInvalidArgument());
@@ -69,8 +68,7 @@ TEST(ShmChannelTest, OversizePayloadRejected) {
 TEST(RemoteExecutorTest, ExecutesRequestsAndCallbacks) {
   // Child handler: interprets the request as a count, makes that many
   // callbacks, sums the replies.
-  auto handler = [](Slice request,
-                    ipc::Channel* channel) -> Result<std::vector<uint8_t>> {
+  auto handler = [](Slice request, ipc::Channel* channel) -> Status {
     BufferReader r(request);
     JAGUAR_ASSIGN_OR_RETURN(uint32_t count, r.ReadU32());
     int64_t sum = 0;
@@ -89,7 +87,7 @@ TEST(RemoteExecutorTest, ExecutesRequestsAndCallbacks) {
     }
     BufferWriter out;
     out.PutI64(sum);
-    return out.Release();
+    return channel->SendToParent(ipc::MsgType::kResult, out.AsSlice());
   };
   auto executor = ipc::RemoteExecutor::Spawn(4096, handler).value();
   EXPECT_GT(executor->child_pid(), 0);
@@ -119,8 +117,7 @@ TEST(RemoteExecutorTest, ExecutesRequestsAndCallbacks) {
 }
 
 TEST(RemoteExecutorTest, ChildErrorsArriveAsStatus) {
-  auto handler = [](Slice request,
-                    ipc::Channel*) -> Result<std::vector<uint8_t>> {
+  auto handler = [](Slice request, ipc::Channel*) -> Status {
     return RuntimeError("deliberate failure in child");
   };
   auto executor = ipc::RemoteExecutor::Spawn(4096, handler).value();
@@ -134,8 +131,8 @@ TEST(RemoteExecutorTest, ChildErrorsArriveAsStatus) {
 }
 
 TEST(RemoteExecutorTest, DeadChildTimesOutInsteadOfHanging) {
-  auto handler = [](Slice, ipc::Channel*) -> Result<std::vector<uint8_t>> {
-    return std::vector<uint8_t>{};
+  auto handler = [](Slice, ipc::Channel* channel) -> Status {
+    return channel->SendToParent(ipc::MsgType::kResult, Slice());
   };
   auto executor = ipc::RemoteExecutor::Spawn(4096, handler).value();
   executor->channel()->set_timeout_seconds(1);

@@ -397,6 +397,35 @@ TEST(BTreeTest, CheckInvariantsMatchesTheLeafChainToTheTree) {
   ASSERT_TRUE(engine->Close().ok());
 }
 
+TEST(BTreeTest, ProbesFetchEachPageOnTheirPathOnce) {
+  TempDb db("fetches");
+  auto engine = StorageEngine::Open(db.path()).value();
+  PageId root = BTree::Create(engine.get()).value();
+  BTree tree(engine.get(), root);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(tree.Insert(Value::Int(i), Rid(1, i % 100)).ok());
+  }
+  const RawNode top = ReadRaw(engine.get(), root);
+  ASSERT_FALSE(top.leaf);
+  for (PageId child : top.children) {
+    ASSERT_TRUE(ReadRaw(engine.get(), child).leaf);  // two levels
+  }
+  BufferPool* pool = engine->buffer_pool();
+  auto fetches = [pool] { return pool->hits() + pool->misses(); };
+
+  // The root, then the leaf: the chain walk starts from the descent's view
+  // of the start leaf instead of fetching it again.
+  uint64_t before = fetches();
+  EXPECT_EQ(tree.SearchEqual(Value::Int(1234)).value().size(), 1u);
+  EXPECT_EQ(fetches() - before, 2u);
+
+  // A full scan: the root, then every leaf once.
+  before = fetches();
+  EXPECT_EQ(tree.CountEntries().value(), 2000u);
+  EXPECT_EQ(fetches() - before, 1 + top.children.size());
+  ASSERT_TRUE(engine->Close().ok());
+}
+
 // ---------------------------------------------------------------------------
 // Model-based property test: seeded, interleaved Insert / Delete /
 // SearchEqual / Scan against a std::set of (key, rid).

@@ -1,9 +1,10 @@
 // Direct unit tests for the Design-2 IPC substrate (src/ipc): the
-// shared-memory channel of Section 4.1 and the executor protocol layered on
-// it. designs_test.cc exercises these end-to-end through SQL; here each
-// channel behavior is pinned down in isolation — message-type round-trips,
-// payloads at exactly the fixed capacity, oversized rejection, the
-// callback-suspends-request interleaving, and the shutdown handshake.
+// shared-memory ring channel carrying Section 4.1's crossings and the
+// executor protocol layered on it. designs_test.cc exercises these
+// end-to-end through SQL; here each channel behavior is pinned down in
+// isolation — message-type round-trips, payloads at exactly the payload
+// limit, oversized rejection, the callback-suspends-request interleaving,
+// pipelining, and the shutdown handshake.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -14,185 +15,22 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "ipc/channel.h"
 #include "ipc/remote_executor.h"
-#include "ipc/ring_channel.h"
-#include "ipc/shm_channel.h"
 #include "obs/metrics.h"
 
 namespace jaguar {
 namespace {
 
+using ipc::Channel;
 using ipc::MsgType;
-using ipc::RingChannel;
-using ipc::ShmChannel;
 
-// The semaphores simply count, so a single process can play both ends: post
-// with SendToChild, collect with ReceiveInChild. That keeps the pure
-// message-format tests fork-free.
-
-TEST(ShmChannelUnitTest, RoundTripEveryMsgType) {
-  auto channel = ShmChannel::Create(256).value();
-  const MsgType kAll[] = {MsgType::kRequest,       MsgType::kCallbackRequest,
-                          MsgType::kCallbackReply, MsgType::kResult,
-                          MsgType::kError,         MsgType::kShutdown};
-  for (MsgType type : kAll) {
-    std::string payload = "t" + std::to_string(static_cast<uint32_t>(type));
-    ASSERT_TRUE(channel->SendToChild(type, Slice(payload)).ok());
-    auto down = channel->ReceiveInChild().value();
-    EXPECT_EQ(down.first, type);
-    EXPECT_EQ(Slice(down.second).ToString(), payload);
-
-    ASSERT_TRUE(channel->SendToParent(type, Slice(payload)).ok());
-    auto up = channel->ReceiveInParent().value();
-    EXPECT_EQ(up.first, type);
-    EXPECT_EQ(Slice(up.second).ToString(), payload);
-  }
-}
-
-TEST(ShmChannelUnitTest, PayloadAtExactCapacityRoundTrips) {
-  constexpr size_t kCapacity = 128;
-  auto channel = ShmChannel::Create(kCapacity).value();
-  EXPECT_EQ(channel->data_capacity(), kCapacity);
-
-  std::vector<uint8_t> payload(kCapacity);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>(i * 7 + 1);
-  }
-  ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice(payload)).ok());
-  auto msg = channel->ReceiveInChild().value();
-  EXPECT_EQ(msg.second, payload);  // every byte intact at the boundary
-}
-
-TEST(ShmChannelUnitTest, OversizedPayloadRejectedInBothDirections) {
-  auto channel = ShmChannel::Create(64).value();
-  std::vector<uint8_t> big(65);
-  EXPECT_TRUE(channel->SendToChild(MsgType::kRequest, Slice(big))
-                  .IsInvalidArgument());
-  EXPECT_TRUE(channel->SendToParent(MsgType::kResult, Slice(big))
-                  .IsInvalidArgument());
-  // The failed send must not have posted: the channel stays usable and the
-  // next receive sees only the good message.
-  ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice("ok")).ok());
-  auto msg = channel->ReceiveInChild().value();
-  EXPECT_EQ(Slice(msg.second).ToString(), "ok");
-}
-
-TEST(ShmChannelUnitTest, EmptyPayloadIsLegal) {
-  auto channel = ShmChannel::Create(16).value();
-  ASSERT_TRUE(channel->SendToChild(MsgType::kShutdown, Slice()).ok());
-  auto msg = channel->ReceiveInChild().value();
-  EXPECT_EQ(msg.first, MsgType::kShutdown);
-  EXPECT_TRUE(msg.second.empty());
-}
-
-TEST(ShmChannelUnitTest, ReceiveTimesOutOnSilentPeer) {
-  auto channel = ShmChannel::Create(16).value();
-  channel->set_timeout_seconds(1);
-  Result<std::pair<MsgType, std::vector<uint8_t>>> r =
-      channel->ReceiveInParent();
-  EXPECT_TRUE(r.status().IsIoError());
-}
-
-TEST(ShmChannelUnitTest, SendIsCountedInMetrics) {
-  auto channel = ShmChannel::Create(64).value();
-  obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
-  obs::MetricsSnapshot before = reg->Snapshot("ipc.shm.");
-  ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice("12345")).ok());
-  ASSERT_TRUE(channel->SendToParent(MsgType::kResult, Slice("123")).ok());
-  obs::MetricsSnapshot delta =
-      obs::SnapshotDelta(before, reg->Snapshot("ipc.shm."));
-  EXPECT_GE(delta.at("ipc.shm.messages"), 2u);
-  EXPECT_GE(delta.at("ipc.shm.payload_bytes"), 8u);
-  (void)channel->ReceiveInChild();
-  (void)channel->ReceiveInParent();
-}
-
-// ---------------------------------------------------------------------------
-// Cross-process: callback interleaving and shutdown
-// ---------------------------------------------------------------------------
-
-TEST(ShmChannelUnitTest, CallbackSuspendsRequestUntilReplied) {
-  // The Section 4.1 interleaving: the child starts a request, issues a
-  // callback, and must not produce its result until the parent replies. The
-  // child proves the ordering by folding the callback reply into the result.
-  auto channel = ShmChannel::Create(4096).value();
-  pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    auto req = channel->ReceiveInChild();
-    if (!req.ok() || req->first != MsgType::kRequest) _exit(1);
-    if (!channel->SendToParent(MsgType::kCallbackRequest, Slice("need"))
-             .ok()) {
-      _exit(2);
-    }
-    auto reply = channel->ReceiveInChild();
-    if (!reply.ok() || reply->first != MsgType::kCallbackReply) _exit(3);
-    std::string result = Slice(req->second).ToString() + "+" +
-                         Slice(reply->second).ToString();
-    if (!channel->SendToParent(MsgType::kResult, Slice(result)).ok()) _exit(4);
-    _exit(0);
-  }
-  ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice("work")).ok());
-  // First message up is the callback — the request is suspended, not done.
-  auto up = channel->ReceiveInParent().value();
-  ASSERT_EQ(up.first, MsgType::kCallbackRequest);
-  EXPECT_EQ(Slice(up.second).ToString(), "need");
-  ASSERT_TRUE(
-      channel->SendToChild(MsgType::kCallbackReply, Slice("answer")).ok());
-  auto result = channel->ReceiveInParent().value();
-  EXPECT_EQ(result.first, MsgType::kResult);
-  EXPECT_EQ(Slice(result.second).ToString(), "work+answer");
-  int status;
-  waitpid(pid, &status, 0);
-  EXPECT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
-TEST(ShmChannelUnitTest, ShutdownHandshakeReapsChildCleanly) {
-  auto channel = ShmChannel::Create(1024).value();
-  pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    while (true) {
-      auto msg = channel->ReceiveInChild();
-      if (!msg.ok()) _exit(7);
-      if (msg->first == MsgType::kShutdown) _exit(0);
-      channel->SendToParent(MsgType::kResult, Slice(msg->second)).ok();
-    }
-  }
-  ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice("ping")).ok());
-  EXPECT_EQ(Slice(channel->ReceiveInParent().value().second).ToString(),
-            "ping");
-  ASSERT_TRUE(channel->SendToChild(MsgType::kShutdown, Slice()).ok());
-  int status;
-  waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Ring transport
-// ---------------------------------------------------------------------------
-
-TEST(RingChannelUnitTest, FactorySelectsTransportAndRejectsUnknownNames) {
-  auto ring = ipc::Channel::Create(ipc::Transport::kRing, 256).value();
-  EXPECT_STREQ(ring->transport_name(), "ring");
-  EXPECT_TRUE(ring->zero_copy());
-  EXPECT_EQ(ring->send_queue_depth(), 2u);
-
-  auto message = ipc::Channel::Create(ipc::Transport::kMessage, 256).value();
-  EXPECT_STREQ(message->transport_name(), "message");
-  EXPECT_FALSE(message->zero_copy());
-  EXPECT_EQ(message->send_queue_depth(), 1u);
-
-  EXPECT_EQ(ipc::ParseTransport("ring").value(), ipc::Transport::kRing);
-  EXPECT_EQ(ipc::ParseTransport("message").value(), ipc::Transport::kMessage);
-  EXPECT_TRUE(ipc::ParseTransport("carrier-pigeon").status()
-                  .IsInvalidArgument());
-}
+// A single process can play both ends of a channel: post with SendToChild,
+// collect with ReceiveInChild. That keeps the pure message-format tests
+// fork-free.
 
 TEST(RingChannelUnitTest, RoundTripEveryMsgType) {
-  auto channel = RingChannel::Create(256).value();
+  auto channel = Channel::Create(256).value();
   const MsgType kAll[] = {MsgType::kRequest,       MsgType::kCallbackRequest,
                           MsgType::kCallbackReply, MsgType::kResult,
                           MsgType::kError,         MsgType::kShutdown};
@@ -212,7 +50,7 @@ TEST(RingChannelUnitTest, RoundTripEveryMsgType) {
 
 TEST(RingChannelUnitTest, PayloadAtExactCapacityRoundTrips) {
   constexpr size_t kCapacity = 128;
-  auto channel = RingChannel::Create(kCapacity).value();
+  auto channel = Channel::Create(kCapacity).value();
   EXPECT_EQ(channel->data_capacity(), kCapacity);
 
   std::vector<uint8_t> payload(kCapacity);
@@ -225,7 +63,7 @@ TEST(RingChannelUnitTest, PayloadAtExactCapacityRoundTrips) {
 }
 
 TEST(RingChannelUnitTest, OversizedPayloadRejectedInBothDirections) {
-  auto channel = RingChannel::Create(64).value();
+  auto channel = Channel::Create(64).value();
   std::vector<uint8_t> big(65);
   EXPECT_TRUE(channel->SendToChild(MsgType::kRequest, Slice(big))
                   .IsInvalidArgument());
@@ -239,7 +77,7 @@ TEST(RingChannelUnitTest, OversizedPayloadRejectedInBothDirections) {
 }
 
 TEST(RingChannelUnitTest, EmptyPayloadIsLegal) {
-  auto channel = RingChannel::Create(16).value();
+  auto channel = Channel::Create(16).value();
   ASSERT_TRUE(channel->SendToChild(MsgType::kShutdown, Slice()).ok());
   auto msg = channel->ReceiveInChild().value();
   EXPECT_EQ(msg.first, MsgType::kShutdown);
@@ -247,22 +85,22 @@ TEST(RingChannelUnitTest, EmptyPayloadIsLegal) {
 }
 
 TEST(RingChannelUnitTest, ReceiveTimesOutOnSilentPeer) {
-  auto channel = RingChannel::Create(16).value();
+  auto channel = Channel::Create(16).value();
   channel->set_timeout_seconds(1);
-  Result<ipc::Channel::Msg> r = channel->ReceiveInParent();
+  Result<Channel::Msg> r = channel->ReceiveInParent();
   EXPECT_TRUE(r.status().IsIoError());
 }
 
 TEST(RingChannelUnitTest, SendBumpsCrossingAndRingCounters) {
-  auto channel = RingChannel::Create(64).value();
+  auto channel = Channel::Create(64).value();
   obs::MetricsRegistry* reg = obs::MetricsRegistry::Global();
   obs::MetricsSnapshot before = reg->Snapshot("ipc.");
   ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice("12345")).ok());
   ASSERT_TRUE(channel->SendToParent(MsgType::kResult, Slice("123")).ok());
   obs::MetricsSnapshot delta =
       obs::SnapshotDelta(before, reg->Snapshot("ipc."));
-  // The transport-independent crossing counters (every committed frame is
-  // one Section-4.1 crossing, whatever carries it)...
+  // The crossing counters (every committed frame is one Section-4.1
+  // crossing)...
   EXPECT_GE(delta.at("ipc.shm.messages"), 2u);
   EXPECT_GE(delta.at("ipc.shm.payload_bytes"), 8u);
   // ...plus the ring's own accounting.
@@ -273,7 +111,7 @@ TEST(RingChannelUnitTest, SendBumpsCrossingAndRingCounters) {
 }
 
 TEST(RingChannelUnitTest, ZeroCopyPrepareCommitViewRelease) {
-  auto channel = RingChannel::Create(1024).value();
+  auto channel = Channel::Create(1024).value();
   auto buf = channel->PrepareToChild(5);
   ASSERT_TRUE(buf.ok());
   std::memcpy(*buf, "hello", 5);
@@ -298,10 +136,10 @@ TEST(RingChannelUnitTest, ZeroCopyPrepareCommitViewRelease) {
 }
 
 TEST(RingChannelUnitTest, CallbackSuspendsRequestUntilReplied) {
-  // The Section 4.1 interleaving over the ring transport: fork a child that
+  // The Section 4.1 interleaving over the ring channel: fork a child that
   // starts a request, issues a callback, and folds the reply into its
   // result, proving the request stayed suspended until the parent answered.
-  auto channel = RingChannel::Create(4096).value();
+  auto channel = Channel::Create(4096).value();
   pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
@@ -333,16 +171,36 @@ TEST(RingChannelUnitTest, CallbackSuspendsRequestUntilReplied) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+TEST(RingChannelUnitTest, ShutdownHandshakeReapsChildCleanly) {
+  auto channel = Channel::Create(1024).value();
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    while (true) {
+      auto msg = channel->ReceiveInChild();
+      if (!msg.ok()) _exit(7);
+      if (msg->first == MsgType::kShutdown) _exit(0);
+      channel->SendToParent(MsgType::kResult, Slice(msg->second)).ok();
+    }
+  }
+  ASSERT_TRUE(channel->SendToChild(MsgType::kRequest, Slice("ping")).ok());
+  EXPECT_EQ(Slice(channel->ReceiveInParent().value().second).ToString(),
+            "ping");
+  ASSERT_TRUE(channel->SendToChild(MsgType::kShutdown, Slice()).ok());
+  int status;
+  waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+/// Answers every request with its own bytes.
+Status EchoHandler(Slice request, Channel* channel) {
+  return channel->SendToParent(MsgType::kResult, request);
+}
+
 TEST(RingExecutorUnitTest, PipelinesTwoRequestsAndRejectsAThird) {
-  auto handler = [](Slice request,
-                    ipc::Channel*) -> Result<std::vector<uint8_t>> {
-    return std::vector<uint8_t>(request.data(),
-                                request.data() + request.size());
-  };
-  auto executor =
-      ipc::RemoteExecutor::Spawn(1024, handler, ipc::Transport::kRing)
-          .value();
-  EXPECT_EQ(executor->send_queue_depth(), 2u);
+  auto executor = ipc::RemoteExecutor::Spawn(1024, &EchoHandler).value();
+  EXPECT_EQ(Channel::kSendQueueDepth, 2u);
   auto no_callbacks = [](Slice) -> Result<std::vector<uint8_t>> {
     return Internal("no callbacks expected");
   };
@@ -362,32 +220,11 @@ TEST(RingExecutorUnitTest, PipelinesTwoRequestsAndRejectsAThird) {
   ASSERT_TRUE(executor->Shutdown().ok());
 }
 
-TEST(RingExecutorUnitTest, MessageTransportKeepsSingleSlotDepth) {
-  auto handler = [](Slice request,
-                    ipc::Channel*) -> Result<std::vector<uint8_t>> {
-    return std::vector<uint8_t>(request.data(),
-                                request.data() + request.size());
-  };
-  auto executor =
-      ipc::RemoteExecutor::Spawn(1024, handler, ipc::Transport::kMessage)
-          .value();
-  EXPECT_EQ(executor->send_queue_depth(), 1u);
-  auto no_callbacks = [](Slice) -> Result<std::vector<uint8_t>> {
-    return Internal("no callbacks expected");
-  };
-  ASSERT_TRUE(executor->BeginExecute(Slice("one")).ok());
-  EXPECT_FALSE(executor->BeginExecute(Slice("two")).ok());
-  EXPECT_EQ(Slice(executor->FinishExecute(no_callbacks).value()).ToString(),
-            "one");
-  ASSERT_TRUE(executor->Shutdown().ok());
-}
-
 TEST(RingExecutorUnitTest, StashKeepsPipelinedRequestsOrderedAcrossCallbacks) {
   // While the child waits for a callback reply, the pipelined next request
   // is already ahead of the reply in the FIFO to-child ring. The child must
   // set it aside (stash) and still serve both requests in order.
-  auto handler = [](Slice request,
-                    ipc::Channel* channel) -> Result<std::vector<uint8_t>> {
+  auto handler = [](Slice request, Channel* channel) -> Status {
     std::vector<uint8_t> req(request.data(), request.data() + request.size());
     channel->ReleaseInChild();
     JAGUAR_RETURN_IF_ERROR(
@@ -403,12 +240,10 @@ TEST(RingExecutorUnitTest, StashKeepsPipelinedRequestsOrderedAcrossCallbacks) {
       }
       req.push_back('+');
       req.insert(req.end(), msg.second.begin(), msg.second.end());
-      return req;
+      return channel->SendToParent(MsgType::kResult, Slice(req));
     }
   };
-  auto executor =
-      ipc::RemoteExecutor::Spawn(4096, handler, ipc::Transport::kRing)
-          .value();
+  auto executor = ipc::RemoteExecutor::Spawn(4096, handler).value();
   auto callbacks = [](Slice payload) -> Result<std::vector<uint8_t>> {
     EXPECT_EQ(payload.ToString(), "cb");
     return std::vector<uint8_t>{'X'};
@@ -423,12 +258,7 @@ TEST(RingExecutorUnitTest, StashKeepsPipelinedRequestsOrderedAcrossCallbacks) {
 }
 
 TEST(RemoteExecutorUnitTest, ShutdownIsIdempotentAndDtorSafe) {
-  auto handler = [](Slice request,
-                    ipc::Channel*) -> Result<std::vector<uint8_t>> {
-    return std::vector<uint8_t>(request.data(),
-                                request.data() + request.size());
-  };
-  auto executor = ipc::RemoteExecutor::Spawn(1024, handler).value();
+  auto executor = ipc::RemoteExecutor::Spawn(1024, &EchoHandler).value();
   auto echo = executor
                   ->Execute(Slice("abc"),
                             [](Slice) -> Result<std::vector<uint8_t>> {

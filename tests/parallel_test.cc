@@ -256,22 +256,23 @@ TEST_F(ParallelTest, SortMatchesSerialAcrossDesigns) {
   }
 }
 
-TEST(ParallelTransportABTest, RingAndMessageTransportsAreByteIdentical) {
+TEST(ParallelTransportABTest, IsolatedCppMatchesInProcessCppByteForByte) {
   JAGUAR_REQUIRE_FORK();
-  // The zero-copy ring is a pure transport swap: a parallel isolated-UDF
-  // query must produce byte-for-byte the rows the copying message channel
-  // produces, under the same 4-worker morsel schedule. No hardware-thread
-  // guard: oversubscribing one core still exercises the interleavings (and
-  // parks the ring more often, not less).
+  // The ring carries a parallel isolated-UDF query without changing a byte:
+  // under the same 4-worker morsel schedule, IC++ returns exactly the rows
+  // the in-process C++ design returns for the same function. No
+  // hardware-thread guard: oversubscribing one core still exercises the
+  // interleavings (and parks the ring more often, not less).
   RegisterGenericUdfs();
-  std::map<std::string, QueryResult> results;
-  for (const std::string transport : {"ring", "message"}) {
-    TempDb db_file("transport_ab_" + transport);
+  std::map<UdfLanguage, QueryResult> results;
+  for (UdfLanguage language :
+       {UdfLanguage::kNativeIsolated, UdfLanguage::kNative}) {
+    TempDb db_file(language == UdfLanguage::kNative ? "transport_ab_cpp"
+                                                    : "transport_ab_icpp");
     DatabaseOptions options;
     options.vectorized_execution = true;
     options.batch_size = 16;
     options.num_workers = 4;
-    options.ipc_transport = transport;
     auto db = Database::Open(db_file.path(), options).value();
     ASSERT_TRUE(db->Execute("CREATE TABLE r (b BYTEARRAY)").ok());
     for (int i = 0; i < 48; ++i) {
@@ -282,25 +283,25 @@ TEST(ParallelTransportABTest, RingAndMessageTransportsAreByteIdentical) {
     }
     UdfInfo info;
     info.name = "g_ab";
-    info.language = UdfLanguage::kNativeIsolated;
+    info.language = language;
     info.return_type = TypeId::kInt;
     info.arg_types = {TypeId::kBytes, TypeId::kInt, TypeId::kInt,
                       TypeId::kInt};
     info.impl_name = "generic_udf";
     ASSERT_TRUE(db->RegisterUdf(info).ok());
-    // 1 callback per row: the transports also agree through the
-    // suspend-resume interleaving.
+    // 1 callback per row: the designs also agree through the suspend-resume
+    // interleaving.
     Result<QueryResult> r = db->Execute("SELECT g_ab(b, 15, 2, 1) FROM r");
-    ASSERT_TRUE(r.ok()) << transport << ": " << r.status();
-    results[transport] = std::move(*r);
+    ASSERT_TRUE(r.ok()) << r.status();
+    results[language] = std::move(*r);
   }
-  const QueryResult& ring = results.at("ring");
-  const QueryResult& message = results.at("message");
-  ASSERT_EQ(ring.rows.size(), message.rows.size());
-  ASSERT_EQ(ring.rows.size(), 48u);
-  for (size_t i = 0; i < ring.rows.size(); ++i) {
-    EXPECT_EQ(Slice(ring.rows[i].Serialize()).ToString(),
-              Slice(message.rows[i].Serialize()).ToString())
+  const QueryResult& isolated = results.at(UdfLanguage::kNativeIsolated);
+  const QueryResult& in_process = results.at(UdfLanguage::kNative);
+  ASSERT_EQ(isolated.rows.size(), in_process.rows.size());
+  ASSERT_EQ(isolated.rows.size(), 48u);
+  for (size_t i = 0; i < isolated.rows.size(); ++i) {
+    EXPECT_EQ(Slice(isolated.rows[i].Serialize()).ToString(),
+              Slice(in_process.rows[i].Serialize()).ToString())
         << "row " << i;
   }
 }
@@ -404,8 +405,8 @@ TEST(ConcurrentRunnerTest, SharedJvmRunnerServesParallelInvocations) {
 // ExecutorPool: leasing, death isolation, respawn
 // ---------------------------------------------------------------------------
 
-Result<std::vector<uint8_t>> EchoHandler(Slice request, ipc::Channel*) {
-  return std::vector<uint8_t>(request.data(), request.data() + request.size());
+Status EchoHandler(Slice request, ipc::Channel* channel) {
+  return channel->SendToParent(ipc::MsgType::kResult, request);
 }
 
 Result<std::vector<uint8_t>> NoCallbacks(Slice) {

@@ -1,11 +1,14 @@
 /// Unit + property tests for the SPSC shared-memory ring buffer behind the
-/// "ring" IPC transport: frame round-trips, zero-copy reserve/commit,
+/// isolated-UDF IPC channel: frame round-trips, zero-copy reserve/commit,
 /// wraparound at every buffer offset, corrupted-frame rejection (seeded bit
-/// flips), flow control, out-of-order release safety, and a two-thread FIFO
-/// stress that doubles as the TSan race test (test names carry "Ring" so the
-/// CI TSan job's regex picks them up).
+/// flips), flow control, out-of-order release safety, the exited-peer check,
+/// and a two-thread FIFO stress that doubles as the TSan race test (test
+/// names carry "Ring" so the CI TSan job's regex picks them up).
 
 #include "common/ring_buffer.h"
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -148,6 +151,30 @@ TEST(RingBufferTest, ReadTimesOutOnAnEmptyRing) {
   auto frame = h.ring()->Read(w);
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsIoError());
+}
+
+TEST(RingBufferTest, ReadFailsWithinASliceOnceThePeerChildExits) {
+  RingHarness h(4096, 128);
+  ASSERT_TRUE(h.init_status().ok());
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(3);
+  SpscRingBuffer::WaitOptions w;  // the 30 s silent-peer budget
+  w.peer_pid = child;
+  w.spin_limit = 16;
+  const auto start = std::chrono::steady_clock::now();
+  auto frame = h.ring()->Read(w);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(frame.ok());
+  EXPECT_TRUE(frame.status().IsIoError());
+  EXPECT_NE(frame.status().message().find("exited with status 3"),
+            std::string::npos)
+      << frame.status();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+  // The exited child was left for its owner to reap.
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_EQ(WEXITSTATUS(status), 3);
 }
 
 /// Frames with a stride whose gcd with the capacity is the alignment (8)

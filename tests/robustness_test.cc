@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +30,7 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "temp_db.h"
+#include "udf/builtins.h"
 #include "udf/executor_pool.h"
 #include "udf/generic_udf.h"
 #include "udf/isolated_udf_runner.h"
@@ -513,16 +515,14 @@ TEST(IsolatedRunnerFaultTest, KilledMidBatchFailsWholeBatchAndRespawns) {
   EXPECT_NE(runner->child_pid(), doomed);
 }
 
-TEST(IsolatedRunnerFaultTest, KilledChildRecoversOnMessageTransportToo) {
+TEST(IsolatedRunnerFaultTest, KilledChildRespawnsForTheNextScalarCall) {
   JAGUAR_REQUIRE_FORK();
-  // The fallback transport must fail and recover exactly like the ring:
-  // SIGKILL the executor mid-conversation, expect one clean IoError-class
-  // failure, then transparent respawn.
+  // SIGKILL the executor between scalar calls: the next call fails cleanly
+  // and the one after it runs on a fresh child of the same runner.
   RegisterGenericUdfs();
   auto runner = IsolatedNativeRunner::Spawn(
                     "generic_udf", TypeId::kInt,
-                    {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt},
-                    1 << 20, 1, ipc::Transport::kMessage)
+                    {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt})
                     .value();
   runner->set_ipc_timeout_seconds(1);
   const std::vector<Value> args = {Value::Bytes(std::vector<uint8_t>(8, 1)),
@@ -551,9 +551,8 @@ TEST(ExecutorPoolTeardownTest, DtorReapsLeasedOrphanChildren) {
   auto spawn = []() {
     return ipc::RemoteExecutor::Spawn(
         1024,
-        [](Slice request, ipc::Channel*) -> Result<std::vector<uint8_t>> {
-          return std::vector<uint8_t>(request.data(),
-                                      request.data() + request.size());
+        [](Slice request, ipc::Channel* channel) -> Status {
+          return channel->SendToParent(ipc::MsgType::kResult, request);
         });
   };
   obs::MetricsSnapshot before =
@@ -583,6 +582,211 @@ TEST(ExecutorPoolTeardownTest, DtorReapsLeasedOrphanChildren) {
 }
 
 // ---------------------------------------------------------------------------
+// The ring's payload limit and a dying executor child (Design 2)
+// ---------------------------------------------------------------------------
+
+int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+/// Registers the native function `impl` as the IC++ UDF `name`.
+void RegisterIsolated(Database* db, const std::string& name,
+                      const std::string& impl, TypeId return_type,
+                      std::vector<TypeId> arg_types) {
+  UdfInfo info;
+  info.name = name;
+  info.language = UdfLanguage::kNativeIsolated;
+  info.return_type = return_type;
+  info.arg_types = std::move(arg_types);
+  info.impl_name = impl;
+  ASSERT_TRUE(db->RegisterUdf(info).ok());
+}
+
+/// Fetches `args[1]` bytes of large object `args[0]` through the callback
+/// path and returns how many arrived.
+Status FetchLengthUdf(const std::vector<Value>& args, UdfContext* ctx,
+                      Value* out) {
+  JAGUAR_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> bytes,
+      ctx->FetchBytes(args[0].AsInt(), 0,
+                      static_cast<uint64_t>(args[1].AsInt())));
+  *out = Value::Int(static_cast<int64_t>(bytes.size()));
+  return Status::OK();
+}
+
+/// Calls abort() when its argument is 1 (without leaving a core file), and
+/// otherwise returns the argument.
+Status AbortOnOneUdf(const std::vector<Value>& args, UdfContext* ctx,
+                     Value* out) {
+  if (args[0].AsInt() == 1) {
+    struct rlimit no_core = {0, 0};
+    ::setrlimit(RLIMIT_CORE, &no_core);
+    std::abort();
+  }
+  *out = args[0];
+  return Status::OK();
+}
+
+void RegisterRingTestUdfs() {
+  static const bool registered = [] {
+    NativeUdfRegistry* reg = NativeUdfRegistry::Global();
+    reg->Register({"fetch_length_udf", TypeId::kInt,
+                   {TypeId::kInt, TypeId::kInt}, &FetchLengthUdf})
+        .ok();
+    reg->Register({"abort_on_one_udf", TypeId::kInt, {TypeId::kInt},
+                   &AbortOnOneUdf})
+        .ok();
+    return true;
+  }();
+  (void)registered;
+}
+
+/// Rows of `sql` over 300 rows of `t (a INT)`, run tuple at a time or with
+/// 256-row batches, through the IC++ registration `zb` of the builtin
+/// `zerobytes`.
+std::vector<std::string> ZeroBytesRows(bool vectorized,
+                                       const std::string& sql) {
+  TempDb db_file(vectorized ? "ring_limit_batched" : "ring_limit_tuple");
+  DatabaseOptions options;
+  options.vectorized_execution = vectorized;
+  auto db = Database::Open(db_file.path(), options).value();
+  EXPECT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
+  for (int i = 0; i < 300; i += 50) {
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int j = i; j < i + 50; ++j) {
+      insert += StringPrintf(j == i ? "(%d)" : ", (%d)", j);
+    }
+    EXPECT_TRUE(db->Execute(insert).ok());
+  }
+  RegisterIsolated(db.get(), "zb", "zerobytes", TypeId::kBytes,
+                   {TypeId::kInt});
+  Result<QueryResult> r = db->Execute(sql);
+  EXPECT_TRUE(r.ok()) << (vectorized ? "batched: " : "tuple: ") << r.status();
+  std::vector<std::string> rows;
+  if (r.ok()) {
+    for (const Tuple& row : r->rows) {
+      rows.push_back(Slice(row.Serialize()).ToString());
+    }
+  }
+  return rows;
+}
+
+TEST(RingPayloadLimitTest, BatchedResultsOverTheLimitMatchTupleAtATime) {
+  JAGUAR_REQUIRE_FORK();
+  // 256 results of about 10 KB are 2.5 MB, over the 1 MB payload limit:
+  // the batch's results come back as several frames, in row order.
+  const std::string sql = "SELECT a, length(zb(10000)), zb(9990 + a) FROM t";
+  std::vector<std::string> tuple = ZeroBytesRows(false, sql);
+  std::vector<std::string> batched = ZeroBytesRows(true, sql);
+  ASSERT_EQ(tuple.size(), 300u);
+  EXPECT_TRUE(tuple == batched);
+}
+
+TEST(RingPayloadLimitTest, OversizedResultValueFailsFastAndKeepsTheChild) {
+  JAGUAR_REQUIRE_FORK();
+  RegisterBuiltinUdfs();
+  auto runner =
+      IsolatedNativeRunner::Spawn("zerobytes", TypeId::kBytes, {TypeId::kInt})
+          .value();
+  const pid_t child = runner->child_pid();
+  ASSERT_GT(child, 0);
+  obs::MetricsSnapshot before =
+      obs::MetricsRegistry::Global()->Snapshot("udf.pool.");
+  UdfContext ctx(nullptr);
+  auto start = std::chrono::steady_clock::now();
+  Result<Value> big = runner->Invoke({Value::Int(2000000)}, &ctx);
+  EXPECT_LT(ElapsedMs(start), 1000);
+  EXPECT_TRUE(big.status().IsInvalidArgument()) << big.status();
+  EXPECT_EQ(runner->child_pid(), child);
+  obs::MetricsSnapshot delta = obs::SnapshotDelta(
+      before, obs::MetricsRegistry::Global()->Snapshot("udf.pool."));
+  EXPECT_EQ(delta.count("udf.pool.discards"), 0u);
+
+  Result<Value> small = runner->Invoke({Value::Int(1000)}, &ctx);
+  ASSERT_TRUE(small.ok()) << small.status();
+  EXPECT_EQ(small->AsBytes().size(), 1000u);
+  EXPECT_EQ(runner->child_pid(), child);
+}
+
+TEST(RingPayloadLimitTest, OversizedFetchReplyLeavesTheNextStatementFast) {
+  JAGUAR_REQUIRE_FORK();
+  RegisterRingTestUdfs();
+  TempDb db_file("ring_limit_fetch");
+  auto db = Database::Open(db_file.path()).value();
+  const int64_t handle =
+      db->StoreLob(std::vector<uint8_t>(2000000, 7)).value();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1)").ok());
+  RegisterIsolated(db.get(), "fl", "fetch_length_udf", TypeId::kInt,
+                   {TypeId::kInt, TypeId::kInt});
+
+  auto fetch = [&](int64_t len) {
+    return db->Execute(StringPrintf("SELECT fl(%lld, %lld) FROM t",
+                                    static_cast<long long>(handle),
+                                    static_cast<long long>(len)));
+  };
+  Result<QueryResult> big = fetch(2000000);
+  EXPECT_TRUE(big.status().IsInvalidArgument()) << big.status();
+
+  // The child got an error in place of the reply, so it is in step: the
+  // next statement is served at once by the same executor.
+  auto start = std::chrono::steady_clock::now();
+  Result<QueryResult> small = fetch(1000);
+  EXPECT_LT(ElapsedMs(start), 2000);
+  ASSERT_TRUE(small.ok()) << small.status();
+  EXPECT_EQ(small->rows[0].value(0).AsInt(), 1000);
+}
+
+TEST(RingPipelineTest, FailedChunkLeavesNoStaleResultForTheNextCall) {
+  JAGUAR_REQUIRE_FORK();
+  // Two 600 KB rows are two chunks under the 1 MB payload limit, so the
+  // second is already in flight when the first fails. The executor is then
+  // out of step with its child; the next call must still get its own result.
+  RegisterBuiltinUdfs();
+  auto runner = IsolatedNativeRunner::Spawn("byte_at", TypeId::kInt,
+                                            {TypeId::kBytes, TypeId::kInt})
+                    .value();
+  UdfContext ctx(nullptr);
+  const std::vector<std::vector<Value>> batch = {
+      {Value::Bytes(std::vector<uint8_t>(600000, 7)), Value::Int(-1)},
+      {Value::Bytes(std::vector<uint8_t>(600000, 7)), Value::Int(0)}};
+  Result<std::vector<Value>> failed = runner->InvokeBatch(batch, &ctx);
+  EXPECT_TRUE(failed.status().IsRuntimeError()) << failed.status();
+
+  Result<Value> next = runner->Invoke(
+      {Value::Bytes(std::vector<uint8_t>(16, 9)), Value::Int(0)}, &ctx);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->AsInt(), 9);
+}
+
+TEST(RingPeerDeathTest, AbortingUdfFailsWithinAParkSlice) {
+  JAGUAR_REQUIRE_FORK();
+  // With the default 30 s silent-peer timeout, a child that dies mid-call
+  // is noticed between park slices, not when the timeout runs out.
+  RegisterRingTestUdfs();
+  TempDb db_file("ring_peer_death");
+  auto db = Database::Open(db_file.path()).value();
+  ASSERT_TRUE(db->Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO t VALUES (1)").ok());
+  RegisterIsolated(db.get(), "die", "abort_on_one_udf", TypeId::kInt,
+                   {TypeId::kInt});
+
+  auto start = std::chrono::steady_clock::now();
+  Result<QueryResult> dead = db->Execute("SELECT die(a) FROM t");
+  EXPECT_LT(ElapsedMs(start), 2000);
+  EXPECT_TRUE(dead.status().IsIoError()) << dead.status();
+  EXPECT_NE(dead.status().message().find("signal 6"), std::string::npos)
+      << dead.status();
+
+  // The same registration's runner forks a fresh child for the next query.
+  Result<QueryResult> ok = db->Execute("SELECT die(a - 1) FROM t");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->rows[0].value(0).AsInt(), 0);
+}
+
+// ---------------------------------------------------------------------------
 // Query deadlines: runaway-UDF termination and quarantine
 // ---------------------------------------------------------------------------
 
@@ -605,12 +809,6 @@ void RegisterSpinUdf() {
     return true;
   }();
   (void)registered;
-}
-
-int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - since)
-      .count();
 }
 
 /// SnapshotDelta drops unchanged entries, so a missing key means "zero".
@@ -776,49 +974,6 @@ TEST_F(DeadlineTest, WatchdogKillsRunawayUdfInsideAggregate) {
       db_->Execute("SELECT SUM(g_ic(zerobytes(8), 2, 1, 0)) FROM t");
   ASSERT_TRUE(ok.ok()) << ok.status();
   ASSERT_EQ(ok->rows.size(), 1u);
-}
-
-TEST_F(DeadlineTest, WatchdogAlsoKillsOnMessageTransport) {
-  JAGUAR_REQUIRE_FORK();
-  // The copy-based fallback transport keeps the identical watchdog
-  // semantics: runaway isolated UDF -> SIGKILL within the deadline plus one
-  // 100 ms tick, clean DeadlineExceeded, pool respawns for the next query.
-  options_.query_timeout_ms = 300;
-  options_.ipc_transport = "message";
-  Open();
-  RegisterSpin("spin_m", UdfLanguage::kNativeIsolated);
-
-  auto start = std::chrono::steady_clock::now();
-  Result<QueryResult> dead = db_->Execute("SELECT spin_m(a) FROM t");
-  EXPECT_TRUE(dead.status().IsDeadlineExceeded()) << dead.status();
-  EXPECT_LT(ElapsedMs(start), 3000) << "watchdog took too long";
-
-  Result<QueryResult> again = db_->Execute("SELECT spin_m(a) FROM t");
-  EXPECT_TRUE(again.status().IsDeadlineExceeded()) << again.status();
-}
-
-TEST_F(DeadlineTest, MessageTransportRunsIsolatedUdfsEndToEnd) {
-  JAGUAR_REQUIRE_FORK();
-  options_.ipc_transport = "message";
-  Open();
-  RegisterGenericUdfs();
-  UdfInfo info;
-  info.name = "g_msg";
-  info.language = UdfLanguage::kNativeIsolated;
-  info.return_type = TypeId::kInt;
-  info.arg_types = {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt};
-  info.impl_name = "generic_udf";
-  ASSERT_TRUE(db_->RegisterUdf(info).ok());
-  Result<QueryResult> ok =
-      db_->Execute("SELECT g_msg(zerobytes(8), 2, 1, 0) FROM t");
-  ASSERT_TRUE(ok.ok()) << ok.status();
-  ASSERT_EQ(ok->rows.size(), 1u);
-}
-
-TEST_F(DeadlineTest, UnknownTransportNameFailsOpen) {
-  options_.ipc_transport = "carrier-pigeon";
-  Result<std::unique_ptr<Database>> db = Database::Open(path_, options_);
-  EXPECT_TRUE(db.status().IsInvalidArgument()) << db.status();
 }
 
 TEST_F(DeadlineTest, WatchdogKillsRunawayIsolatedJvmUdf) {

@@ -696,6 +696,36 @@ TEST(BufferPoolTest, ReadaheadScanMatchesNoReadaheadScan) {
   EXPECT_EQ(plain, ahead);  // byte-identical results with readahead on
 }
 
+TEST(BufferPoolTest, EngineCloseStopsReadaheadBeforeClosingTheFile) {
+  // Close used to close the data file while the readahead worker could
+  // still be reading it, a race the thread sanitizer reports; the pool's
+  // workers now stop first. Queue hints until Close so the worker is busy.
+  TempDb db("pool_ra_close");
+  PageId root = kInvalidPageId;
+  {
+    auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/64).value();
+    root = TableHeap::Create(engine.get()).value();
+    TableHeap heap(engine.get(), root);
+    const std::vector<uint8_t> rec(3000, 0x5A);
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(heap.Insert(Slice(rec.data(), rec.size())).ok());
+    }
+    ASSERT_TRUE(engine->Close().ok());
+  }
+  BufferPoolConfig config;
+  config.readahead_pages = 8;
+  auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/8,
+                                    wal::WalOptions(), config)
+                    .value();
+  const std::vector<PageId> pages =
+      TableHeap(engine.get(), root).ListPages().value();
+  ASSERT_GT(pages.size(), 64u);
+  for (int round = 0; round < 8; ++round) {
+    engine->buffer_pool()->Prefetch(pages.data(), pages.size());
+  }
+  ASSERT_TRUE(engine->Close().ok());
+}
+
 TEST(StorageEngineTest, HeaderPersistsAcrossReopen) {
   TempDb db("engine");
   {
