@@ -14,6 +14,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -436,6 +437,14 @@ struct ModelParam {
   bool string_keys;
   size_t pool_pages;
 };
+
+// Without this gtest prints the param as its raw bytes, so the name pointer
+// and the padding would put an address and stack garbage into the test
+// names that ctest lists, and each build would name the tests differently.
+void PrintTo(const ModelParam& param, std::ostream* os) {
+  *os << '{' << (param.string_keys ? "STRING" : "INT") << ", "
+      << param.pool_pages << '}';
+}
 
 class BTreeModelTest : public ::testing::TestWithParam<ModelParam> {};
 
