@@ -222,12 +222,15 @@ int Run() {
   }
 
   std::printf("\nShape checks:\n");
-  const unsigned cores = std::thread::hardware_concurrency();
+  // The count the ring's spin-or-park choice reads: the CPUs this process
+  // may use, so a `taskset -c 0` run skips like a one-core host.
+  const int cores = SpscRingBuffer::UsableCpus();
   if (cores < 2) {
     // On one CPU every crossing is a mandatory context switch — the producer
     // cannot run while the consumer does — so the waiter parks on every
     // crossing. The check below is only meaningful with real concurrency.
-    std::printf("  [SKIP] the parks check needs >= 2 cores (host has %u)\n",
+    std::printf("  [SKIP] the parks check needs >= 2 cores (process may "
+                "use %d)\n",
                 cores);
     return 0;
   }

@@ -43,6 +43,7 @@
 /// the ring degrades to polling rather than hanging even if a peer dies
 /// between publish and wake.
 
+#include <sched.h>
 #include <semaphore.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -55,6 +56,7 @@
 #define JAGUAR_RING_FUTEX_PARK 1
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -183,7 +185,25 @@ class SpscRingBuffer {
     mask_ = capacity - 1;
     max_payload_ = max_payload;
     stats_ = stats;
+    // Spinning only ever pays when the peer can make progress on another
+    // CPU; with one CPU to run on, every spin iteration *delays* the peer,
+    // so the waiter parks at once instead. The peer is forked after Init and
+    // inherits this thread's CPU mask, so one count serves both sides.
+    spin_ = UsableCpus() > 1;
     return Status::OK();
+  }
+
+  /// CPUs the calling thread may run on: its affinity mask, which a
+  /// `taskset` or a `sched_setaffinity` narrows, not the CPUs online.
+  static int UsableCpus() {
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+      return std::max(1, CPU_COUNT(&set));
+    }
+#endif
+    return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   }
 
   /// Destroys the process-shared semaphores (creator side only, once the
@@ -450,21 +470,13 @@ class SpscRingBuffer {
   /// Spin-then-park until `ready()` holds, a deadline/budget expires, or a
   /// wait error occurs. `ready` must load the watched cursor with seq_cst
   /// (part of the handshake proof above).
-  /// Spinning only ever pays when the peer can make progress on another
-  /// CPU; on a single-core host every spin iteration *delays* the peer, so
-  /// the waiter parks immediately instead.
-  static int EffectiveSpinLimit(int requested) {
-    static const bool multicore = std::thread::hardware_concurrency() > 1;
-    return multicore ? requested : 0;
-  }
-
   template <typename Ready>
   Status WaitFor(Ready ready, std::atomic<uint32_t>* seq,
                  std::atomic<uint32_t>* parked, sem_t* sem,
                  const WaitOptions& w) {
     if (ready()) return Status::OK();
     JAGUAR_RETURN_IF_ERROR(CheckDeadline(w.deadline));
-    const int spin_limit = EffectiveSpinLimit(w.spin_limit);
+    const int spin_limit = spin_ ? w.spin_limit : 0;
     for (int i = 0; i < spin_limit; ++i) {
       CpuRelax();
       if (ready()) {
@@ -507,6 +519,7 @@ class SpscRingBuffer {
   uint64_t mask_ = 0;
   uint64_t max_payload_ = 0;
   RingStats stats_;
+  bool spin_ = false;  ///< Waits spin before they park (see `Init`).
 
   // Producer-local reservation state (each forked process has its own copy;
   // only the producing side of a direction ever touches these).

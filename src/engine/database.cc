@@ -36,17 +36,22 @@ obs::Counter* DeadlineExceededQueries() {
   return counter;
 }
 
+/// Records per read of a scan with no predicate: the index builds and the
+/// LOB store's handle index.
+constexpr size_t kScanReadRows = 256;
+
 /// Collects the rows of `heap` that pass `predicate` (all rows when null),
 /// fully decoded, with their record ids: DELETE and UPDATE gather every
 /// target row before changing any, so no record view is held across a heap
 /// write. With an index `pick` only its survivors are read, and
 /// `predicate` is the residual; either way rows come in heap-chain order,
 /// so the changes apply in the same order whichever path found them. Rows
-/// that fail get only the predicate's columns decoded.
+/// that fail get only the predicate's columns decoded. Each read takes
+/// `per_read` records; `batched` is the batch protocol.
 Status CollectRows(TableHeap* heap, const Schema& schema,
                    const std::optional<exec::IndexPick>& pick,
-                   const exec::BoundExpr* predicate, UdfContext* ctx,
-                   const QueryDeadline& deadline, std::vector<Tuple>* rows,
+                   const exec::BoundExpr* predicate, bool batched,
+                   size_t per_read, UdfContext* ctx, std::vector<Tuple>* rows,
                    std::vector<RecordId>* rids) {
   ColumnMask every;
   for (size_t i = 0; i < schema.num_columns(); ++i) every.Add(i);
@@ -57,11 +62,12 @@ Status CollectRows(TableHeap* heap, const Schema& schema,
       exec::OpenSource(heap, pick.has_value() ? &*pick : nullptr,
                        /*chain_order=*/true, &listed));
   exec::HeapScan scan(std::move(cursor), &spec, ctx);
-  return scan.ForEach(&deadline, [&](Tuple* t, RecordId rid) -> Status {
-    rows->push_back(std::move(*t));
-    rids->push_back(rid);
-    return Status::OK();
-  });
+  while (true) {
+    JAGUAR_RETURN_IF_ERROR(ctx->CheckDeadline());
+    const size_t before = rows->size();
+    JAGUAR_RETURN_IF_ERROR(scan.Read(per_read, batched, rows, rids).status());
+    if (rows->size() == before) return Status::OK();
+  }
 }
 
 /// Inserts the key of every row of `table` into the empty index `idx`,
@@ -74,11 +80,21 @@ Status FillIndex(StorageEngine* engine, const IndexInfo* idx,
   BTree tree(engine, idx->root);
   TableHeap heap(engine, table->first_page);
   exec::HeapScan scan(heap.Scan(), &spec, /*ctx=*/nullptr);
-  return scan.ForEach(deadline, [&](Tuple* t, RecordId rid) -> Status {
-    const Value& key = t->value(idx->column_index);
-    if (key.is_null()) return Status::OK();  // NULL keys are never stored
-    return tree.Insert(key, rid);
-  });
+  std::vector<Tuple> rows;
+  std::vector<RecordId> rids;
+  while (true) {
+    JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
+    rows.clear();
+    rids.clear();
+    JAGUAR_RETURN_IF_ERROR(
+        scan.Read(kScanReadRows, /*batched=*/false, &rows, &rids).status());
+    if (rows.empty()) return Status::OK();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Value& key = rows[i].value(idx->column_index);
+      if (key.is_null()) continue;  // NULL keys are never stored
+      JAGUAR_RETURN_IF_ERROR(tree.Insert(key, rids[i]));
+    }
+  }
 }
 }  // namespace
 
@@ -104,15 +120,24 @@ Status LobStore::Init() {
   const exec::ScanSpec spec = exec::ScanSpec::Make(nullptr, id_column);
   TableHeap heap(engine_, heap_root_);
   exec::HeapScan scan(heap.Scan(), &spec, /*ctx=*/nullptr);
-  return scan.ForEach(nullptr, [&](Tuple* t, RecordId rid) -> Status {
-    if (t->num_values() != 2 || t->value(0).type() != TypeId::kInt) {
-      return Corruption("malformed LOB record");
+  std::vector<Tuple> rows;
+  std::vector<RecordId> rids;
+  while (true) {
+    rows.clear();
+    rids.clear();
+    JAGUAR_RETURN_IF_ERROR(
+        scan.Read(kScanReadRows, /*batched=*/false, &rows, &rids).status());
+    if (rows.empty()) return Status::OK();
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const Tuple& t = rows[i];
+      if (t.num_values() != 2 || t.value(0).type() != TypeId::kInt) {
+        return Corruption("malformed LOB record");
+      }
+      const int64_t id = t.value(0).AsInt();
+      index_[id] = rids[i];
+      next_id_ = std::max(next_id_, id + 1);
     }
-    int64_t id = t->value(0).AsInt();
-    index_[id] = rid;
-    next_id_ = std::max(next_id_, id + 1);
-    return Status::OK();
-  });
+  }
 }
 
 Result<int64_t> LobStore::Store(const std::vector<uint8_t>& data) {
@@ -197,7 +222,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   JAGUAR_RETURN_IF_ERROR(InstallJaguarNatives(db->vm_.get()));
 
   db->udf_manager_ = std::make_unique<UdfManager>(db->catalog_.get());
-  db->udf_manager_->set_memo_capacity(options.udf_memo_entries);
   db->udf_manager_->set_quarantine(&db->quarantine_);
   jvm::ResourceLimits limits;
   limits.instruction_budget = options.udf_instruction_budget;
@@ -473,9 +497,12 @@ Result<QueryResult> Database::ExecuteDelete(const sql::Statement& stmt,
   TableHeap heap(storage_.get(), table->first_page);
   std::vector<Tuple> rows;
   std::vector<RecordId> rids;
-  JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, pick,
-                                     predicate.get(), &ctx, deadline, &rows,
-                                     &rids));
+  JAGUAR_RETURN_IF_ERROR(CollectRows(
+      &heap, table->schema, pick, predicate.get(),
+      options_.vectorized_execution, ReadRows(), &ctx, &rows, &rids));
+  // A deadline that passed while the rows were found fails the statement
+  // before its first write.
+  JAGUAR_RETURN_IF_ERROR(deadline.Check());
   for (size_t i = 0; i < rows.size(); ++i) {
     JAGUAR_RETURN_IF_ERROR(heap.Delete(rids[i]));
     JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, rows[i], rids[i]));
@@ -518,10 +545,11 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
   }
 
   // Phase 1: collect the target rows, then materialize their replacement
-  // tuples (value expressions see the old row). Phase 2: delete + reinsert — updates may change record size,
-  // and a collect-then-apply plan cannot revisit its own insertions. The old
-  // tuple is retained so phase 2 can remove the index entries it contributed
-  // before inserting the new row's entries under its new record id.
+  // tuples (value expressions see the old row). Phase 2: delete + reinsert —
+  // updates may change record size, and a collect-then-apply plan cannot
+  // revisit its own insertions. The old tuple is retained so phase 2 can
+  // remove the index entries it contributed before inserting the new row's
+  // entries under its new record id.
   struct PendingUpdate {
     RecordId rid;
     Tuple old_tuple;
@@ -530,30 +558,44 @@ Result<QueryResult> Database::ExecuteUpdate(const sql::Statement& stmt,
   const std::optional<exec::IndexPick> pick =
       ChooseAccessPath(table, &predicate);
   TableHeap heap(storage_.get(), table->first_page);
+  const bool batched = options_.vectorized_execution;
+  const size_t per_read = ReadRows();
   std::vector<Tuple> rows;
   std::vector<RecordId> rids;
   JAGUAR_RETURN_IF_ERROR(CollectRows(&heap, table->schema, pick,
-                                     predicate.get(), &ctx, deadline, &rows,
-                                     &rids));
+                                     predicate.get(), batched, per_read, &ctx,
+                                     &rows, &rids));
+  // The SET expressions run over the collected rows a read's worth at a
+  // time: under the batch protocol a UDF crosses once per batch.
+  std::vector<const exec::BoundExpr*> set_exprs;
+  for (const Assignment& a : assignments) set_exprs.push_back(a.value.get());
+  exec::Evaluator eval;
+  std::vector<Value> set_values;
   std::vector<PendingUpdate> updates;
   updates.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
+  for (size_t first = 0; first < rows.size(); first += per_read) {
     JAGUAR_RETURN_IF_ERROR(deadline.Check());
-    const Tuple& t = rows[i];
-    std::vector<Value> values = t.values();
-    for (const Assignment& a : assignments) {
-      JAGUAR_ASSIGN_OR_RETURN(Value v, exec::Eval(*a.value, t, &ctx));
-      if (table->schema.column(a.column).type == TypeId::kDouble &&
-          v.type() == TypeId::kInt) {
-        v = Value::Double(static_cast<double>(v.AsInt()));
+    const size_t n = std::min(per_read, rows.size() - first);
+    JAGUAR_RETURN_IF_ERROR(eval.EvalRows(set_exprs, rows.data() + first, n,
+                                         batched, &ctx, &set_values));
+    for (size_t i = first; i < first + n; ++i) {
+      std::vector<Value> values = rows[i].values();
+      Value* set = set_values.data() + (i - first) * assignments.size();
+      for (const Assignment& a : assignments) {
+        Value v = std::move(*set++);
+        if (table->schema.column(a.column).type == TypeId::kDouble &&
+            v.type() == TypeId::kInt) {
+          v = Value::Double(static_cast<double>(v.AsInt()));
+        }
+        values[a.column] = std::move(v);
       }
-      values[a.column] = std::move(v);
+      Tuple updated(std::move(values));
+      JAGUAR_RETURN_IF_ERROR(updated.CheckSchema(table->schema));
+      JAGUAR_RETURN_IF_ERROR(ValidateIndexKeys(table, updated));
+      updates.push_back({rids[i], std::move(rows[i]), std::move(updated)});
     }
-    Tuple updated(std::move(values));
-    JAGUAR_RETURN_IF_ERROR(updated.CheckSchema(table->schema));
-    JAGUAR_RETURN_IF_ERROR(ValidateIndexKeys(table, updated));
-    updates.push_back({rids[i], std::move(rows[i]), std::move(updated)});
   }
+  JAGUAR_RETURN_IF_ERROR(deadline.Check());
   for (auto& u : updates) {
     JAGUAR_RETURN_IF_ERROR(heap.Delete(u.rid));
     JAGUAR_RETURN_IF_ERROR(DeleteIndexEntries(table, u.old_tuple, u.rid));
@@ -576,23 +618,29 @@ Result<QueryResult> Database::ExecuteInsert(const sql::Statement& stmt,
   ctx.set_deadline(&deadline);
   const Schema empty_schema;
   const Tuple empty_tuple;
+  exec::Evaluator eval;
   // Evaluate and validate every row before the first heap write, so a
   // statement that fails on any row leaves the table as it was.
   std::vector<Tuple> tuples;
   tuples.reserve(ins.rows.size());
   for (const std::vector<sql::ExprPtr>& row : ins.rows) {
     JAGUAR_RETURN_IF_ERROR(deadline.Check());
-    std::vector<Value> values;
-    values.reserve(row.size());
+    // VALUES expressions are constant: bound against an empty schema, so
+    // column references fail; function calls (randbytes, ...) work. Each
+    // row is bound on its own, so each of its calls is one `Invoke` in both
+    // engines.
+    std::vector<exec::BoundExprPtr> bound;
+    std::vector<const exec::BoundExpr*> exprs;
     for (const sql::ExprPtr& expr : row) {
-      // VALUES expressions are constant: bound against an empty schema, so
-      // column references fail; function calls (randbytes, ...) work.
       JAGUAR_ASSIGN_OR_RETURN(
-          exec::BoundExprPtr bound,
+          exec::BoundExprPtr b,
           exec::Bind(*expr, empty_schema, ins.table, "", udf_manager_.get()));
-      JAGUAR_ASSIGN_OR_RETURN(Value v, exec::Eval(*bound, empty_tuple, &ctx));
-      values.push_back(std::move(v));
+      exprs.push_back(b.get());
+      bound.push_back(std::move(b));
     }
+    std::vector<Value> values;
+    JAGUAR_RETURN_IF_ERROR(eval.EvalRows(exprs, &empty_tuple, 1,
+                                         /*batched=*/false, &ctx, &values));
     // Widen INT literals into DOUBLE columns before storing.
     if (values.size() == table->schema.num_columns()) {
       for (size_t i = 0; i < values.size(); ++i) {
@@ -645,6 +693,12 @@ Result<QueryResult> Database::ExecuteDropIndex(const sql::Statement& stmt) {
   QueryResult result;
   result.message = "Index " + stmt.drop_index.index + " dropped";
   return result;
+}
+
+size_t Database::ReadRows() const {
+  return options_.vectorized_execution
+             ? std::max<size_t>(1, options_.batch_size)
+             : 1;
 }
 
 std::optional<exec::IndexPick> Database::ChooseAccessPath(

@@ -70,18 +70,14 @@ struct DatabaseOptions {
   bool vectorized_execution = false;
   /// Records per batch when `vectorized_execution` is on.
   size_t batch_size = 256;
-  /// Capacity (entries) of the per-(UDF, arguments) result memo attached to
-  /// each runner; 0 = disabled. Only deterministic, callback-free
-  /// invocations are memoized, and re-registration drops the memo.
-  size_t udf_memo_entries = 0;
   /// Morsel-driven intra-query parallelism: worker threads per SELECT
   /// (1 = serial). Requires `vectorized_execution` and a heap scan (an
-  /// index plan is one stream). Covers every sink — scans (LIMIT truncates
-  /// after the morsel-order merge), aggregation (per-morsel partial hash
-  /// tables merged in morsel order) and ORDER BY (per-morsel sorted runs,
-  /// k-way merge) — with output byte-identical to serial. Isolated UDF
-  /// designs get an executor pool of this size (one child process per
-  /// worker).
+  /// index plan is one stream). Covers scans, aggregation (per-morsel
+  /// partial hash tables merged in morsel order) and ORDER BY (per-morsel
+  /// sorted runs, k-way merge; top-k under LIMIT) with output
+  /// byte-identical to serial. A scan under LIMIT runs as one stream, so it
+  /// reads no record its serial plan would not. Isolated UDF designs get an
+  /// executor pool of this size (one child process per worker).
   size_t num_workers = 1;
   /// Wall-clock deadline per query in milliseconds (0 = unlimited). When it
   /// passes, serial and parallel operators stop between tuples/batches,
@@ -209,6 +205,10 @@ class Database : public UdfCallbackHandler {
   Result<QueryResult> ExecuteCreateIndex(const sql::Statement& stmt,
                                          const QueryDeadline& deadline);
   Result<QueryResult> ExecuteDropIndex(const sql::Statement& stmt);
+
+  /// Records per read of the record loop: `batch_size` under the batch
+  /// protocol, else one.
+  size_t ReadRows() const;
 
   /// The access-path chooser of SELECT (aggregates included), UPDATE and
   /// DELETE: an index probe for `*predicate` over `table`'s indexes

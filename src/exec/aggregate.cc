@@ -279,7 +279,7 @@ Result<BoundExprPtr> BindAggregateOrderKey(const sql::SelectStmt& sel,
 
 HashAggregator::HashAggregator(const AggregatePlan* plan)
     : plan_(plan),
-      exprs_(plan->Inputs()),
+      width_(plan->Inputs().size()),
       args_(plan->specs.size(), nullptr) {
   if (plan_->implicit_single_group()) {
     // The implicit group exists even for empty input: global aggregates
@@ -311,21 +311,16 @@ Status HashAggregator::AccumulateRow(Group* group,
   return Status::OK();
 }
 
-Status HashAggregator::Consume(const std::vector<Tuple>& tuples, bool batched,
-                               UdfContext* ctx) {
-  if (tuples.empty()) return Status::OK();
-  AggMetrics()->rows->Add(tuples.size());
-  std::vector<Value> evaluated;
-  JAGUAR_RETURN_IF_ERROR(EvalRows(exprs_, tuples, batched, ctx, &evaluated));
-
+Status HashAggregator::Consume(std::vector<Value>* values, size_t num_rows) {
+  AggMetrics()->rows->Add(num_rows);
   const size_t num_keys = plan_->group_keys.size();
-  for (size_t row = 0; row < tuples.size(); ++row) {
-    Value* values = evaluated.data() + row * exprs_.size();
-    std::vector<Value> keys(std::make_move_iterator(values),
-                            std::make_move_iterator(values + num_keys));
+  for (size_t row = 0; row < num_rows; ++row) {
+    Value* in = values->data() + row * width_;
+    std::vector<Value> keys(std::make_move_iterator(in),
+                            std::make_move_iterator(in + num_keys));
     std::string key_bytes = SerializeKey(keys);
     Group* group = FindOrCreateGroup(key_bytes, std::move(keys));
-    const Value* arg = values + num_keys;
+    const Value* arg = in + num_keys;
     for (size_t a = 0; a < plan_->specs.size(); ++a) {
       if (plan_->specs[a].arg != nullptr) args_[a] = arg++;
     }

@@ -6,16 +6,17 @@
 ///
 /// `PlanAggregate` binds a SELECT's GROUP BY keys, aggregate specs and
 /// output layout once; a `HashAggregator` — the pipeline's partial-
-/// aggregate sink — then consumes tuples (batch-at-a-time under the batch
-/// protocol, so UDFs in group keys or aggregate arguments cross their
-/// design's protection boundary once per batch) and keeps one accumulator
-/// set per distinct key. A serial plan is one stream: one aggregator,
-/// finalized without a merge. count/sum/avg/min/max accumulators are all
-/// mergeable, which is what makes the morsel-parallel plan work: each
-/// morsel builds a partial aggregator and the partials are merged in
-/// morsel index order, so the combined state (including min/max ties, which
-/// keep the first value in scan order, and the floating-point sum order) is
-/// deterministic and key-ordered output matches the serial path exactly.
+/// aggregate sink — then consumes each batch's group keys and aggregate
+/// arguments, which the stream evaluates (once per batch under the batch
+/// protocol, so UDFs there cross their design's protection boundary once
+/// per batch), and keeps one accumulator set per distinct key. A serial
+/// plan is one stream: one aggregator, finalized without a merge.
+/// count/sum/avg/min/max accumulators are all mergeable, which is what
+/// makes the morsel-parallel plan work: each morsel builds a partial
+/// aggregator and the partials are merged in morsel index order, so the
+/// combined state (including min/max ties, which keep the first value in
+/// scan order, and the floating-point sum order) is deterministic and
+/// key-ordered output matches the serial path exactly.
 /// For exactly-representable sums (integers, dyadic doubles) parallel
 /// output is byte-identical to serial; inexact double sums are still
 /// deterministic run-to-run but may differ from serial in the last ulp
@@ -127,11 +128,10 @@ class HashAggregator {
  public:
   explicit HashAggregator(const AggregatePlan* plan);
 
-  /// Folds `tuples` in, in order. Group keys and aggregate arguments are
-  /// evaluated by `EvalRows`: with `batched` once per batch (one boundary
-  /// crossing per UDF), otherwise row by row.
-  Status Consume(const std::vector<Tuple>& tuples, bool batched,
-                 UdfContext* ctx);
+  /// Folds `num_rows` rows in, in order. `values` holds each row's
+  /// `AggregatePlan::Inputs`, row by row as `Evaluator::EvalRows` leaves
+  /// them; the group keys are moved out of it.
+  Status Consume(std::vector<Value>* values, size_t num_rows);
 
   /// Merges (and drains) `other`, whose rows come after this aggregator's
   /// rows in scan order. `deadline` is polled during the merge loop.
@@ -153,8 +153,8 @@ class HashAggregator {
                            std::vector<Value> keys);
 
   const AggregatePlan* plan_;
-  std::vector<const BoundExpr*> exprs_;  ///< `plan_->Inputs()`.
-  std::vector<const Value*> args_;       ///< One row's arguments, per spec.
+  size_t width_;                    ///< Values per row: `plan_->Inputs()`.
+  std::vector<const Value*> args_;  ///< One row's arguments, per spec.
   std::unordered_map<std::string, Group> groups_;
 };
 

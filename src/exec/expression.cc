@@ -191,190 +191,207 @@ Result<Value> EvalComparison(sql::BinaryOp op, const Value& l, const Value& r) {
   return Internal("unhandled comparison op");
 }
 
-/// Three-valued logic per SQL. NULL is "unknown".
-Result<Value> EvalLogical(sql::BinaryOp op, const BoundExpr& le,
-                          const BoundExpr& re, const Tuple& tuple,
-                          UdfContext* ctx) {
-  JAGUAR_ASSIGN_OR_RETURN(Value l, Eval(le, tuple, ctx));
-  auto as_tristate = [](const Value& v) -> Result<int> {
-    if (v.is_null()) return -1;  // unknown
-    if (v.type() != TypeId::kBool) {
-      return InvalidArgument("logical operand is not BOOL");
-    }
-    return v.AsBool() ? 1 : 0;
-  };
-  JAGUAR_ASSIGN_OR_RETURN(int lt, as_tristate(l));
-  if (op == sql::BinaryOp::kAnd && lt == 0) return Value::Bool(false);
-  if (op == sql::BinaryOp::kOr && lt == 1) return Value::Bool(true);
-  JAGUAR_ASSIGN_OR_RETURN(Value r, Eval(re, tuple, ctx));
-  JAGUAR_ASSIGN_OR_RETURN(int rt, as_tristate(r));
-  if (op == sql::BinaryOp::kAnd) {
-    if (rt == 0) return Value::Bool(false);
-    if (lt == -1 || rt == -1) return Value::Null();
-    return Value::Bool(true);
+Result<Value> EvalUnary(sql::UnaryOp op, const Value& v) {
+  if (v.is_null()) return Value::Null();
+  if (op == sql::UnaryOp::kNeg) {
+    if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
+    JAGUAR_ASSIGN_OR_RETURN(int64_t i, v.CoerceInt());
+    return Value::Int(static_cast<int64_t>(-static_cast<uint64_t>(i)));
   }
-  if (rt == 1) return Value::Bool(true);
-  if (lt == -1 || rt == -1) return Value::Null();
-  return Value::Bool(false);
+  if (v.type() != TypeId::kBool) {
+    return InvalidArgument("NOT operand is not BOOL");
+  }
+  return Value::Bool(!v.AsBool());
+}
+
+/// SQL's three-valued truth of a logical operand: 1 TRUE, 0 FALSE, -1
+/// unknown (NULL); anything but BOOL or NULL is an error.
+Result<int> Truth(const Value& v) {
+  if (v.is_null()) return -1;
+  if (v.type() != TypeId::kBool) {
+    return InvalidArgument("logical operand is not BOOL");
+  }
+  return v.AsBool() ? 1 : 0;
 }
 
 }  // namespace
 
-Result<Value> Eval(const BoundExpr& expr, const Tuple& tuple, UdfContext* ctx) {
-  switch (expr.kind) {
-    case BoundExprKind::kLiteral:
-      return expr.literal;
-    case BoundExprKind::kColumn:
-      if (expr.column_index >= tuple.num_values()) {
+/// One top-level evaluation over `rows`: it takes scratch from the
+/// evaluator's pool in order, and the next evaluation reuses all of it.
+struct Evaluator::Pass {
+  Evaluator* ev;
+  const Tuple* rows;
+  bool batched;
+  UdfContext* ctx;
+  size_t used = 0;
+
+  Scratch* Take() {
+    if (used == ev->scratch_.size()) ev->scratch_.emplace_back();
+    return &ev->scratch_[used++];
+  }
+  Status Eval(const BoundExpr& expr, const Selection& sel,
+              std::vector<Value>* out);
+  Status EvalAndOr(const BoundExpr& expr, const Selection& sel,
+                   std::vector<Value>* out);
+  /// `expr` over `sel` for a reader: a column or a literal is read in place
+  /// (null), anything else is evaluated into scratch.
+  Result<const std::vector<Value>*> Load(const BoundExpr& expr,
+                                         const Selection& sel);
+  const Value& At(const BoundExpr& expr, const std::vector<Value>* loaded,
+                  const Selection& sel, size_t i) const {
+    if (loaded != nullptr) return (*loaded)[i];
+    if (expr.kind == BoundExprKind::kLiteral) return expr.literal;
+    return rows[sel[i]].value(expr.column_index);
+  }
+};
+
+Status Evaluator::Filter(const BoundExpr& predicate, const Tuple* rows,
+                         bool batched, UdfContext* ctx, Selection* sel) {
+  Pass pass{this, rows, batched, ctx};
+  JAGUAR_ASSIGN_OR_RETURN(const std::vector<Value>* values,
+                          pass.Load(predicate, *sel));
+  size_t kept = 0;
+  for (size_t i = 0; i < sel->size(); ++i) {
+    const Value& v = pass.At(predicate, values, *sel, i);
+    if (v.is_null()) continue;
+    if (v.type() != TypeId::kBool) {
+      return InvalidArgument("WHERE clause is not a boolean expression");
+    }
+    if (v.AsBool()) (*sel)[kept++] = (*sel)[i];
+  }
+  sel->resize(kept);
+  return Status::OK();
+}
+
+Status Evaluator::EvalRows(const std::vector<const BoundExpr*>& exprs,
+                           const Tuple* rows, size_t num_rows, bool batched,
+                           UdfContext* ctx, std::vector<Value>* values) {
+  const size_t width = exprs.size();
+  values->resize(num_rows * width);
+  const size_t step = batched ? num_rows : 1;
+  for (size_t first = 0; first < num_rows; first += step) {
+    Pass pass{this, rows + first, batched, ctx};
+    Selection& sel = pass.Take()->rows;
+    sel.resize(step);
+    for (size_t i = 0; i < step; ++i) sel[i] = static_cast<uint32_t>(i);
+    for (size_t e = 0; e < width; ++e) {
+      std::vector<Value>& column = pass.Take()->values;
+      JAGUAR_RETURN_IF_ERROR(pass.Eval(*exprs[e], sel, &column));
+      for (size_t i = 0; i < sel.size(); ++i) {
+        (*values)[(first + i) * width + e] = std::move(column[i]);
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<const std::vector<Value>*> Evaluator::Pass::Load(
+    const BoundExpr& expr, const Selection& sel) {
+  if (expr.kind == BoundExprKind::kLiteral) return nullptr;
+  if (expr.kind == BoundExprKind::kColumn) {
+    for (uint32_t row : sel) {
+      if (expr.column_index >= rows[row].num_values()) {
         return Internal("column index out of range");
       }
-      return tuple.value(expr.column_index);
+    }
+    return nullptr;
+  }
+  std::vector<Value>* values = &Take()->values;
+  JAGUAR_RETURN_IF_ERROR(Eval(expr, sel, values));
+  return values;
+}
+
+Status Evaluator::Pass::Eval(const BoundExpr& expr, const Selection& sel,
+                             std::vector<Value>* out) {
+  const size_t n = sel.size();
+  out->resize(n);
+  switch (expr.kind) {
+    case BoundExprKind::kLiteral:
+    case BoundExprKind::kColumn:
+      JAGUAR_RETURN_IF_ERROR(Load(expr, sel).status());
+      for (size_t i = 0; i < n; ++i) (*out)[i] = At(expr, nullptr, sel, i);
+      return Status::OK();
     case BoundExprKind::kUnary: {
-      JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*expr.left, tuple, ctx));
-      if (v.is_null()) return Value::Null();
-      if (expr.unary_op == sql::UnaryOp::kNeg) {
-        if (v.type() == TypeId::kDouble) return Value::Double(-v.AsDouble());
-        JAGUAR_ASSIGN_OR_RETURN(int64_t i, v.CoerceInt());
-        return Value::Int(static_cast<int64_t>(-static_cast<uint64_t>(i)));
+      JAGUAR_ASSIGN_OR_RETURN(const std::vector<Value>* v,
+                              Load(*expr.left, sel));
+      for (size_t i = 0; i < n; ++i) {
+        JAGUAR_ASSIGN_OR_RETURN(
+            (*out)[i], EvalUnary(expr.unary_op, At(*expr.left, v, sel, i)));
       }
-      if (v.type() != TypeId::kBool) {
-        return InvalidArgument("NOT operand is not BOOL");
-      }
-      return Value::Bool(!v.AsBool());
+      return Status::OK();
     }
     case BoundExprKind::kBinary: {
-      if (IsLogicalOp(expr.binary_op)) {
-        return EvalLogical(expr.binary_op, *expr.left, *expr.right, tuple,
-                           ctx);
+      if (IsLogicalOp(expr.binary_op)) return EvalAndOr(expr, sel, out);
+      JAGUAR_ASSIGN_OR_RETURN(const std::vector<Value>* l,
+                              Load(*expr.left, sel));
+      JAGUAR_ASSIGN_OR_RETURN(const std::vector<Value>* r,
+                              Load(*expr.right, sel));
+      for (size_t i = 0; i < n; ++i) {
+        const Value& a = At(*expr.left, l, sel, i);
+        const Value& b = At(*expr.right, r, sel, i);
+        JAGUAR_ASSIGN_OR_RETURN(
+            (*out)[i], IsComparisonOp(expr.binary_op)
+                           ? EvalComparison(expr.binary_op, a, b)
+                           : EvalArithmetic(expr.binary_op, a, b));
       }
-      JAGUAR_ASSIGN_OR_RETURN(Value l, Eval(*expr.left, tuple, ctx));
-      JAGUAR_ASSIGN_OR_RETURN(Value r, Eval(*expr.right, tuple, ctx));
-      if (IsComparisonOp(expr.binary_op)) {
-        return EvalComparison(expr.binary_op, l, r);
-      }
-      return EvalArithmetic(expr.binary_op, l, r);
+      return Status::OK();
     }
     case BoundExprKind::kCall: {
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const BoundExprPtr& arg : expr.args) {
-        JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*arg, tuple, ctx));
-        args.push_back(std::move(v));
+      if (n == 0) return Status::OK();
+      // Each argument over the selection, in order; then the argument rows
+      // cross in one batch or one call per row.
+      const size_t width = expr.args.size();
+      const size_t first = used;
+      for (size_t a = 0; a < width; ++a) Take();
+      for (size_t a = 0; a < width; ++a) {
+        JAGUAR_ASSIGN_OR_RETURN(ev->scratch_[first + a].arg,
+                                Load(*expr.args[a], sel));
       }
-      return expr.runner->Invoke(args, ctx);
+      ev->call_rows_.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        ev->call_rows_[i].resize(width);
+        for (size_t a = 0; a < width; ++a) {
+          ev->call_rows_[i][a] =
+              At(*expr.args[a], ev->scratch_[first + a].arg, sel, i);
+        }
+      }
+      if (batched) {
+        JAGUAR_ASSIGN_OR_RETURN(*out,
+                                expr.runner->InvokeBatch(ev->call_rows_, ctx));
+        return Status::OK();
+      }
+      for (size_t i = 0; i < n; ++i) {
+        JAGUAR_ASSIGN_OR_RETURN((*out)[i],
+                                expr.runner->Invoke(ev->call_rows_[i], ctx));
+      }
+      return Status::OK();
     }
   }
   return Internal("unhandled bound expression kind");
 }
 
-Result<bool> EvalPredicate(const BoundExpr& expr, const Tuple& tuple,
-                           UdfContext* ctx) {
-  JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(expr, tuple, ctx));
-  if (v.is_null()) return false;
-  if (v.type() != TypeId::kBool) {
-    return InvalidArgument("WHERE clause is not a boolean expression");
+Status Evaluator::Pass::EvalAndOr(const BoundExpr& expr,
+                                  const Selection& sel,
+                                  std::vector<Value>* out) {
+  // The left side decides a row that is FALSE under AND or TRUE under OR;
+  // the others stay open, and only they see the right side. A row's result
+  // is its left value unless its right value is the deciding one or NULL.
+  const int deciding = expr.binary_op == sql::BinaryOp::kAnd ? 0 : 1;
+  JAGUAR_RETURN_IF_ERROR(Eval(*expr.left, sel, out));
+  Selection& open = Take()->rows;
+  open.clear();
+  for (size_t i = 0; i < sel.size(); ++i) {
+    JAGUAR_ASSIGN_OR_RETURN(int left, Truth((*out)[i]));
+    if (left != deciding) open.push_back(sel[i]);
   }
-  return v.AsBool();
-}
-
-Result<std::vector<Value>> EvalBatch(const BoundExpr& expr,
-                                     const std::vector<Tuple>& tuples,
-                                     UdfContext* ctx) {
-  std::vector<Value> out;
-  out.reserve(tuples.size());
-  switch (expr.kind) {
-    case BoundExprKind::kCall: {
-      // The batching payoff: evaluate each argument expression over the
-      // whole batch, transpose to per-tuple argument rows, and cross into
-      // the UDF once for all of them.
-      std::vector<std::vector<Value>> arg_columns;
-      arg_columns.reserve(expr.args.size());
-      for (const BoundExprPtr& arg : expr.args) {
-        JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> column,
-                                EvalBatch(*arg, tuples, ctx));
-        arg_columns.push_back(std::move(column));
-      }
-      std::vector<std::vector<Value>> args_batch(tuples.size());
-      for (size_t row = 0; row < tuples.size(); ++row) {
-        args_batch[row].reserve(arg_columns.size());
-        for (std::vector<Value>& column : arg_columns) {
-          args_batch[row].push_back(std::move(column[row]));
-        }
-      }
-      return expr.runner->InvokeBatch(args_batch, ctx);
-    }
-    case BoundExprKind::kBinary:
-      if (IsLogicalOp(expr.binary_op)) break;  // per-tuple (short-circuit)
-      {
-        JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> left,
-                                EvalBatch(*expr.left, tuples, ctx));
-        JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> right,
-                                EvalBatch(*expr.right, tuples, ctx));
-        for (size_t row = 0; row < tuples.size(); ++row) {
-          Result<Value> v =
-              IsComparisonOp(expr.binary_op)
-                  ? EvalComparison(expr.binary_op, left[row], right[row])
-                  : EvalArithmetic(expr.binary_op, left[row], right[row]);
-          JAGUAR_RETURN_IF_ERROR(v.status());
-          out.push_back(std::move(*v));
-        }
-        return out;
-      }
-    default:
-      break;
-  }
-  // Leaves (literal/column), unary ops and logical ops evaluate per tuple —
-  // they cross no boundary, so batching buys nothing, and logical ops must
-  // keep their three-valued short-circuit evaluation order.
-  for (const Tuple& tuple : tuples) {
-    JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(expr, tuple, ctx));
-    out.push_back(std::move(v));
-  }
-  return out;
-}
-
-Result<std::vector<char>> EvalPredicateBatch(const BoundExpr& expr,
-                                             const std::vector<Tuple>& tuples,
-                                             UdfContext* ctx) {
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> values,
-                          EvalBatch(expr, tuples, ctx));
-  std::vector<char> passes;
-  passes.reserve(values.size());
-  for (const Value& v : values) {
-    if (v.is_null()) {
-      passes.push_back(0);
-      continue;
-    }
-    if (v.type() != TypeId::kBool) {
-      return InvalidArgument("WHERE clause is not a boolean expression");
-    }
-    passes.push_back(v.AsBool() ? 1 : 0);
-  }
-  return passes;
-}
-
-Status EvalRows(const std::vector<const BoundExpr*>& exprs,
-                const std::vector<Tuple>& tuples, bool batched,
-                UdfContext* ctx, std::vector<Value>* values) {
-  values->clear();
-  const size_t width = exprs.size();
-  if (batched) {
-    if (tuples.empty()) return Status::OK();
-    values->resize(tuples.size() * width);
-    for (size_t e = 0; e < width; ++e) {
-      JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> column,
-                              EvalBatch(*exprs[e], tuples, ctx));
-      for (size_t row = 0; row < tuples.size(); ++row) {
-        (*values)[row * width + e] = std::move(column[row]);
-      }
-    }
-    return Status::OK();
-  }
-  for (const Tuple& tuple : tuples) {
-    for (const BoundExpr* e : exprs) {
-      JAGUAR_ASSIGN_OR_RETURN(Value v, Eval(*e, tuple, ctx));
-      values->push_back(std::move(v));
-    }
+  if (open.empty()) return Status::OK();
+  JAGUAR_ASSIGN_OR_RETURN(const std::vector<Value>* right,
+                          Load(*expr.right, open));
+  for (size_t i = 0, j = 0; i < sel.size(); ++i) {
+    if (Truth((*out)[i]).value() == deciding) continue;
+    const Value& r = At(*expr.right, right, open, j++);
+    JAGUAR_ASSIGN_OR_RETURN(int truth, Truth(r));
+    if (truth == deciding || truth < 0) (*out)[i] = r;
   }
   return Status::OK();
 }

@@ -7,9 +7,12 @@
 /// The binder turns a parsed `sql::Expr` into a `BoundExpr`: column references
 /// become column indices, and function calls are resolved to `UdfRunner`
 /// instances through a `UdfResolver`. Binding happens once per query; the
-/// evaluator then runs per tuple — which is where the paper's per-invocation
-/// UDF costs live.
+/// evaluator then runs over batches of rows, a record at a time in the
+/// per-tuple engine — and its call nodes are where the paper's
+/// per-invocation UDF costs live.
 
+#include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,42 +69,51 @@ Result<BoundExprPtr> Bind(const sql::Expr& expr, const Schema& schema,
                           const std::string& table_alias,
                           UdfResolver* resolver);
 
-/// Evaluates a bound expression against one tuple. `ctx` carries the UDF
-/// callback channel (may be null for UDF-free expressions).
-Result<Value> Eval(const BoundExpr& expr, const Tuple& tuple, UdfContext* ctx);
+/// Row positions in a batch, ascending: the rows an evaluation runs on.
+using Selection = std::vector<uint32_t>;
 
-/// Evaluates `expr` as a predicate: NULL results count as false (SQL's
-/// WHERE-clause behavior).
-Result<bool> EvalPredicate(const BoundExpr& expr, const Tuple& tuple,
-                           UdfContext* ctx);
+/// The one expression evaluator: a bound expression over a batch of rows,
+/// restricted to a selection vector, gives one value per selected row; any
+/// error fails the whole evaluation. AND and OR run their right side only
+/// on the rows the left side left undecided (not FALSE under AND, not TRUE
+/// under OR): row for row, the per-tuple short-circuit. A call node is the
+/// only node that reads `batched`: over its arguments' values it makes one
+/// `UdfRunner::InvokeBatch` for the selected rows (one boundary crossing,
+/// the Section 2.5 batching lever) or one `Invoke` per selected row in row
+/// order; an empty selection calls nothing. Scratch columns and selections
+/// live from one call to the next, so a record at a time allocates nothing
+/// once warm. Not reentrant.
+class Evaluator {
+ public:
+  /// Narrows `*sel`, positions in `rows`, to the rows on which `predicate`
+  /// is TRUE. NULL counts as false (SQL's WHERE-clause behavior); a
+  /// non-BOOL value is an error.
+  Status Filter(const BoundExpr& predicate, const Tuple* rows, bool batched,
+                UdfContext* ctx, Selection* sel);
 
-/// Evaluates `expr` over a batch of tuples, returning one value per tuple in
-/// order. Semantically identical to calling `Eval` per tuple — any error
-/// fails the whole batch — but UDF call nodes cross the execution boundary
-/// once per batch through `UdfRunner::InvokeBatch` instead of once per tuple
-/// (the Section 2.5 batching lever). Logical AND/OR fall back to per-tuple
-/// evaluation to preserve three-valued short-circuit behavior exactly
-/// (including *which* sub-expressions run).
-Result<std::vector<Value>> EvalBatch(const BoundExpr& expr,
-                                     const std::vector<Tuple>& tuples,
-                                     UdfContext* ctx);
+  /// Evaluates every expression of `exprs` over the `num_rows` rows at
+  /// `rows` into `*values`, row by row (`(*values)[row * exprs.size() + e]`),
+  /// keeping its capacity for the next call. `batched`: one evaluation per
+  /// expression over all the rows, so a UDF crosses its boundary once;
+  /// otherwise batches of one row, each row's expressions in order — the
+  /// per-tuple engine's call order.
+  Status EvalRows(const std::vector<const BoundExpr*>& exprs,
+                  const Tuple* rows, size_t num_rows, bool batched,
+                  UdfContext* ctx, std::vector<Value>* values);
 
-/// Batch counterpart of `EvalPredicate`: one pass/fail flag per tuple.
-Result<std::vector<char>> EvalPredicateBatch(const BoundExpr& expr,
-                                             const std::vector<Tuple>& tuples,
-                                             UdfContext* ctx);
-
-/// The one place a plan chooses between per-batch and per-row UDF calls
-/// for its projection, sort key, group keys and aggregate arguments:
-/// evaluates every expression of `exprs` over `tuples` into `*values`, row
-/// by row (`(*values)[row * exprs.size() + e]`), replacing its contents
-/// but keeping its capacity for the next call. `batched`: one `EvalBatch`
-/// per expression, so a UDF crosses its boundary once per batch; otherwise
-/// `Eval` row by row, each row's expressions in order — the per-tuple
-/// engine's call order. An empty batch calls no UDF.
-Status EvalRows(const std::vector<const BoundExpr*>& exprs,
-                const std::vector<Tuple>& tuples, bool batched,
-                UdfContext* ctx, std::vector<Value>* values);
+ private:
+  struct Pass;  ///< One top-level evaluation (expression.cc).
+  /// One node's scratch — its values, its rows, or where a call argument's
+  /// values are — kept with its capacity from one evaluation to the next,
+  /// in place as the pool grows.
+  struct Scratch {
+    std::vector<Value> values;
+    Selection rows;
+    const std::vector<Value>* arg = nullptr;
+  };
+  std::deque<Scratch> scratch_;
+  std::vector<std::vector<Value>> call_rows_;  ///< A call's argument rows.
+};
 
 }  // namespace exec
 }  // namespace jaguar

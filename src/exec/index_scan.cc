@@ -80,8 +80,10 @@ std::optional<Value> ConstantOf(const BoundExpr& e) {
   if (e.kind == BoundExprKind::kLiteral) return e.literal;
   if (e.kind == BoundExprKind::kUnary && e.unary_op == sql::UnaryOp::kNeg &&
       e.left->kind == BoundExprKind::kLiteral) {
-    Result<Value> v = Eval(e, Tuple(), /*ctx=*/nullptr);
-    if (v.ok()) return std::move(v).value();
+    const Tuple none;
+    std::vector<Value> v;
+    Status s = Evaluator().EvalRows({&e}, &none, 1, false, nullptr, &v);
+    if (s.ok()) return std::move(v[0]);
   }
   return std::nullopt;
 }

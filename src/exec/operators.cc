@@ -1,7 +1,6 @@
 #include "exec/operators.h"
 
-#include <cassert>
-#include <iterator>
+#include <utility>
 
 namespace jaguar {
 namespace exec {
@@ -48,11 +47,10 @@ Status HeapScan::Decode(const TableHeap::Iterator::RecordView& rec,
 Result<size_t> HeapScan::Read(size_t max_rows, bool batched,
                               std::vector<Tuple>* rows,
                               std::vector<RecordId>* rids) {
-  assert(rids == nullptr || !batched);
   const BoundExpr* predicate = spec_->predicate;
   const bool per_batch = predicate != nullptr && batched &&
                          spec_->batch_predicate;
-  const bool per_row = predicate != nullptr && !per_batch;
+  const bool per_record = predicate != nullptr && !per_batch;
   const size_t first = rows->size();
   size_t read = 0;
   bool end = false;
@@ -74,10 +72,11 @@ Result<size_t> HeapScan::Read(size_t max_rows, bool batched,
       if (predicate != nullptr) {
         JAGUAR_RETURN_IF_ERROR(Decode(*rec, spec_->predicate_columns, &t));
       }
-      if (per_row) {
-        JAGUAR_ASSIGN_OR_RETURN(bool pass,
-                                EvalPredicate(*predicate, t, ctx_));
-        if (!pass) continue;
+      if (per_record) {
+        sel_.assign(1, 0);
+        JAGUAR_RETURN_IF_ERROR(
+            eval_.Filter(*predicate, &t, batched, ctx_, &sel_));
+        if (sel_.empty()) continue;
       }
       // The predicate's walk already checked the record and sized the
       // tuple.
@@ -88,31 +87,21 @@ Result<size_t> HeapScan::Read(size_t max_rows, bool batched,
       if (rids != nullptr) rids->push_back(rec->rid);
     }
     if (per_batch && rows->size() > first) {
-      std::vector<Tuple> group(std::make_move_iterator(rows->begin() + first),
-                               std::make_move_iterator(rows->end()));
-      rows->resize(first);
-      JAGUAR_ASSIGN_OR_RETURN(std::vector<char> passes,
-                              EvalPredicateBatch(*predicate, group, ctx_));
-      for (size_t i = 0; i < group.size(); ++i) {
-        if (passes[i]) rows->push_back(std::move(group[i]));
+      // The batch's rows, in full, through one evaluation of the predicate;
+      // the rows that pass move up over those that fail.
+      sel_.resize(rows->size() - first);
+      for (size_t k = 0; k < sel_.size(); ++k) sel_[k] = k;
+      JAGUAR_RETURN_IF_ERROR(eval_.Filter(*predicate, rows->data() + first,
+                                          batched, ctx_, &sel_));
+      for (size_t k = 0; k < sel_.size(); ++k) {
+        std::swap((*rows)[first + k], (*rows)[first + sel_[k]]);
+        if (rids != nullptr) (*rids)[first + k] = (*rids)[first + sel_[k]];
       }
+      rows->resize(first + sel_.size());
+      if (rids != nullptr) rids->resize(first + sel_.size());
     }
   }
   return read;
-}
-
-Status HeapScan::ForEach(const QueryDeadline* deadline,
-                         const std::function<Status(Tuple*, RecordId)>& fn) {
-  std::vector<Tuple> rows;
-  std::vector<RecordId> rids;
-  while (true) {
-    JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
-    rows.clear();
-    rids.clear();
-    JAGUAR_RETURN_IF_ERROR(Read(1, /*batched=*/false, &rows, &rids).status());
-    if (rows.empty()) return Status::OK();
-    JAGUAR_RETURN_IF_ERROR(fn(&rows[0], rids[0]));
-  }
 }
 
 }  // namespace exec

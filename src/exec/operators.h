@@ -6,16 +6,16 @@
 /// A plan is one pipeline (exec/parallel.h): a source (the heap chain, a
 /// morsel of its pages, or an index probe's record ids) feeds `HeapScan`,
 /// which evaluates the WHERE clause (or an index's residual) inside the
-/// loop, and the rows that pass go to one sink. The `batched` flag of
-/// `HeapScan::Read` and `EvalRows` is the paper's measured choice: a
+/// loop, and the rows that pass go to one sink. UPDATE and DELETE collect
+/// their target rows, and the index builds and the LOB store read their
+/// heaps, through the same loop. The `batched` flag of `HeapScan::Read`
+/// and the evaluator (exec/expression.h) is the paper's measured choice: a
 /// tuple-at-a-time engine reads one record per pull and calls every UDF
 /// once per row, as PREDATOR did; the vectorized engine reads a batch and
 /// crosses each UDF's boundary once per batch.
 
-#include <functional>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/status.h"
 #include "exec/expression.h"
 #include "storage/table_heap.h"
@@ -64,17 +64,12 @@ class HeapScan {
   /// Reads batches of up to `max_rows` records until one has a row that
   /// passes, and appends that batch's passing rows to `rows`; they are left
   /// empty only at the end of the scan. `batched`: the caller speaks the
-  /// batch protocol, so a UDF predicate runs once over each batch. `rids`
-  /// (only when not `batched`), when non-null, gets each row's record id.
+  /// batch protocol, so a UDF predicate runs once over each batch; any
+  /// other predicate runs on each record while the cursor stands on it.
+  /// `rids`, when non-null, gets each appended row's record id.
   /// \return Records read, those of skipped batches included.
   Result<size_t> Read(size_t max_rows, bool batched, std::vector<Tuple>* rows,
                       std::vector<RecordId>* rids = nullptr);
-
-  /// Reads the rest of the heap row at a time, calling `fn` on each row
-  /// that passes with its record id. `deadline` (may be null) is checked
-  /// before every read.
-  Status ForEach(const QueryDeadline* deadline,
-                 const std::function<Status(Tuple*, RecordId)>& fn);
 
  private:
   /// Decodes `mask` of the record at the cursor into `t`.
@@ -85,6 +80,8 @@ class HeapScan {
   const ScanSpec* spec_;
   UdfContext* ctx_;
   Tuple row_;  ///< Decode target; moved out for each row that passes.
+  Evaluator eval_;
+  Selection sel_;
 };
 
 }  // namespace exec

@@ -36,30 +36,35 @@ struct Stream {
 
 /// Runs one stream — the whole source, or one morsel — through the record
 /// loop into a new sink in `*out`. `serial` bumps the `exec.<op>.tuples`
-/// counters; `*enough`, once set, stops the stream.
+/// counters.
 Status RunStream(const Pipeline& p, TableHeap::Iterator cursor,
-                 UdfContext* ctx, bool serial, size_t run_id,
-                 const std::atomic<bool>* enough, Stream* out) {
+                 UdfContext* ctx, bool serial, size_t run_id, Stream* out) {
   const bool collect = Collects(p);
   if (p.aggregate != nullptr) {
     out->partial = std::make_unique<HashAggregator>(p.aggregate);
   } else if (p.order_key != nullptr) {
     out->sorter.emplace(p.descending, p.limit, run_id);
   }
-  // The sink's expressions: the sort key ahead of the projection.
+  // The sink's expressions, evaluated here for every sink: the aggregate's
+  // inputs, or the sort key ahead of the projection.
   std::vector<const BoundExpr*> exprs;
-  if (p.order_key != nullptr) exprs.push_back(p.order_key);
-  if (p.out_exprs != nullptr) {
-    for (const BoundExprPtr& e : *p.out_exprs) exprs.push_back(e.get());
+  if (p.aggregate != nullptr) {
+    exprs = p.aggregate->Inputs();
+  } else {
+    if (p.order_key != nullptr) exprs.push_back(p.order_key);
+    if (p.out_exprs != nullptr) {
+      for (const BoundExprPtr& e : *p.out_exprs) exprs.push_back(e.get());
+    }
   }
   const size_t width = exprs.size();
   const size_t key_columns = p.order_key != nullptr ? 1 : 0;
   const size_t per_read = p.batched ? std::max<size_t>(1, p.batch_size) : 1;
   const bool limited = collect && p.limit >= 0;
   HeapScan scan(std::move(cursor), p.scan, ctx);
+  Evaluator eval;
   std::vector<Tuple> rows;
   std::vector<Value> values;
-  while (enough == nullptr || !enough->load()) {
+  while (true) {
     size_t want = per_read;
     if (limited) {
       const size_t limit = static_cast<size_t>(p.limit);
@@ -81,11 +86,12 @@ Status RunStream(const Pipeline& p, TableHeap::Iterator cursor,
       filtered->Add(rows.size());
     }
     if (rows.empty()) break;  // end of the source
+    JAGUAR_RETURN_IF_ERROR(eval.EvalRows(exprs, rows.data(), rows.size(),
+                                         p.batched, ctx, &values));
     if (out->partial != nullptr) {
-      JAGUAR_RETURN_IF_ERROR(out->partial->Consume(rows, p.batched, ctx));
+      JAGUAR_RETURN_IF_ERROR(out->partial->Consume(&values, rows.size()));
       continue;
     }
-    JAGUAR_RETURN_IF_ERROR(EvalRows(exprs, rows, p.batched, ctx, &values));
     for (size_t row = 0; row < rows.size(); ++row) {
       Value* first = values.data() + row * width;
       Tuple projected(std::vector<Value>(
@@ -146,17 +152,6 @@ Status RunMorsels(const Pipeline& p, const MorselPlan& plan,
   morsels->Add(plan.num_morsels);
   streams->resize(plan.num_morsels);
 
-  // Under LIMIT, the completed morsel prefix (every morsel before the first
-  // unfinished one) is tracked; once it holds `limit` rows the merge can
-  // no longer reach past it, so dispensing stops and morsels still running
-  // beyond it give up.
-  const bool cut = Collects(p) && p.limit >= 0;
-  std::atomic<bool> enough{false};
-  std::mutex prefix_mutex;
-  std::vector<char> finished(plan.num_morsels, 0);
-  size_t prefix = 0;
-  size_t prefix_rows = 0;
-
   std::atomic<size_t> dispenser{0};
   std::atomic<bool> stop{false};
   std::mutex error_mutex;
@@ -166,29 +161,19 @@ Status RunMorsels(const Pipeline& p, const MorselPlan& plan,
     // touches (buffer pool, runners, metrics) is shared and thread-safe.
     TableHeap heap(p.engine, p.first_page);
     UdfContext ctx = *p.ctx;
-    while (!stop.load(std::memory_order_relaxed) && !enough.load()) {
+    while (!stop.load(std::memory_order_relaxed)) {
       const size_t m = dispenser.fetch_add(1, std::memory_order_relaxed);
       if (m >= plan.num_morsels) break;
       const size_t begin = m * kMorselPages;
       const size_t end = std::min(plan.pages.size(), begin + kMorselPages);
       Status s = RunStream(p, heap.ScanPages(plan.pages, begin, end), &ctx,
-                           /*serial=*/false, /*run_id=*/m,
-                           cut ? &enough : nullptr, &(*streams)[m]);
+                           /*serial=*/false, /*run_id=*/m, &(*streams)[m]);
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(error_mutex);
         if (first_error.ok()) first_error = std::move(s);
         stop.store(true, std::memory_order_relaxed);
         break;
       }
-      if (!cut) continue;
-      std::lock_guard<std::mutex> lock(prefix_mutex);
-      // A morsel cut short by `enough` lies past the covered prefix.
-      if (enough.load()) continue;
-      finished[m] = 1;
-      while (prefix < plan.num_morsels && finished[prefix]) {
-        prefix_rows += (*streams)[prefix++].rows.size();
-      }
-      if (prefix_rows >= static_cast<size_t>(p.limit)) enough.store(true);
     }
   };
 
@@ -225,14 +210,9 @@ Result<std::vector<Tuple>> Combine(const Pipeline& p, bool parallel,
                              deadline);
   }
   if (!parallel) return std::move((*streams)[0].rows);
-  const size_t limit =
-      p.limit >= 0 ? static_cast<size_t>(p.limit) : SIZE_MAX;
   std::vector<Tuple> rows;
   for (Stream& s : *streams) {
-    for (Tuple& t : s.rows) {
-      if (rows.size() >= limit) break;
-      rows.push_back(std::move(t));
-    }
+    std::move(s.rows.begin(), s.rows.end(), std::back_inserter(rows));
   }
   static obs::Counter* tuples = Counter("exec.parallel.tuples");
   tuples->Add(rows.size());
@@ -242,7 +222,10 @@ Result<std::vector<Tuple>> Combine(const Pipeline& p, bool parallel,
 }  // namespace
 
 Result<std::vector<Tuple>> RunPipeline(const Pipeline& p) {
-  const bool parallel = p.batched && p.num_workers > 1 && p.pick == nullptr;
+  // A collect sink under LIMIT stops at its first `limit` rows in scan
+  // order; only one stream knows where that is without reading past it.
+  const bool parallel = p.batched && p.num_workers > 1 && p.pick == nullptr &&
+                        !(Collects(p) && p.limit >= 0);
   std::optional<MorselPlan> morsels;
   if (parallel) {
     JAGUAR_ASSIGN_OR_RETURN(morsels,
@@ -279,7 +262,7 @@ Result<std::vector<Tuple>> RunPipeline(const Pipeline& p) {
                    &rids));
     JAGUAR_RETURN_IF_ERROR(RunStream(p, std::move(cursor), p.ctx,
                                      /*serial=*/true, /*run_id=*/0,
-                                     /*enough=*/nullptr, &streams[0]));
+                                     &streams[0]));
   }
   return Combine(p, parallel, &streams);
 }

@@ -26,19 +26,20 @@
 /// (and `exec.limit.tuples` under LIMIT).
 ///
 /// A plan runs parallel under the batch protocol, with `num_workers` > 1,
-/// over a heap source; an index source is always one stream. The page
+/// over a heap source; an index source is always one stream, and so is a
+/// collect sink under LIMIT, which thus reads exactly the records its
+/// serial plan reads. The page
 /// list (read from the heap directory) is split into morsels of
 /// `kMorselPages` consecutive pages; workers pull morsel indices from a
 /// shared atomic dispenser and run each morsel as a stream of its own
 /// (run id = morsel index). Combining in morsel index order makes every
 /// plan shape deterministic and byte-identical to serial execution (see
-/// aggregate.h for inexact double sums). Under LIMIT the collect sink stops
-/// once it has `limit` rows, and no morsel is handed out once the completed
-/// morsel prefix holds them. A plan with one morsel, or with room in the
-/// buffer pool for one worker's pins, runs on the calling thread.
+/// aggregate.h for inexact double sums). A plan with one morsel, or with
+/// room in the buffer pool for one worker's pins, runs on the calling
+/// thread.
 ///
-/// Shared state touched by workers (buffer pool, UDF runners and memo,
-/// metrics, the JagVM) is thread-safe; each worker gets its own heap
+/// Shared state touched by workers (buffer pool, UDF runners, metrics, the
+/// JagVM) is thread-safe; each worker gets its own heap
 /// cursor and a copy of the plan's UdfContext (the callback quota applies
 /// per worker).
 ///

@@ -166,7 +166,8 @@ Result<std::vector<Tuple>> SortRows(std::vector<Tuple> rows,
   if (limit >= 0) SortMetrics()->topk_queries->Add();
   JAGUAR_RETURN_IF_ERROR(CheckDeadline(deadline));
   std::vector<Value> keys;
-  JAGUAR_RETURN_IF_ERROR(EvalRows({&key}, rows, batched, ctx, &keys));
+  JAGUAR_RETURN_IF_ERROR(Evaluator().EvalRows(
+      {&key}, rows.data(), rows.size(), batched, ctx, &keys));
   Sorter sorter(descending, limit);
   for (size_t i = 0; i < rows.size(); ++i) {
     sorter.Add(std::move(keys[i]), std::move(rows[i]));

@@ -90,7 +90,8 @@ class Sorter {
 
 /// Sorts already-materialized rows by `key` bound against their schema —
 /// the ORDER-BY-over-aggregate-output path. `limit` >= 0 truncates (top-k).
-/// The key is evaluated by `EvalRows` over all rows as one batch.
+/// The key is evaluated by `Evaluator::EvalRows` over all rows as one
+/// batch.
 Result<std::vector<Tuple>> SortRows(std::vector<Tuple> rows,
                                     const BoundExpr& key, bool descending,
                                     int64_t limit, UdfContext* ctx,

@@ -2,65 +2,9 @@
 
 #include <cctype>
 
-#include "common/bytes.h"
 #include "common/string_util.h"
 
 namespace jaguar {
-
-namespace {
-
-/// Process-wide memo hit/miss counters (the cache is per runner, the
-/// economics are global).
-obs::Counter* MemoHits() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global()->GetCounter("udf.memo.hits");
-  return c;
-}
-obs::Counter* MemoMisses() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::Global()->GetCounter("udf.memo.misses");
-  return c;
-}
-
-}  // namespace
-
-std::string UdfMemoCache::KeyFor(const std::vector<Value>& args) {
-  BufferWriter w;
-  w.PutU32(static_cast<uint32_t>(args.size()));
-  for (const Value& v : args) v.WriteTo(&w);
-  return std::string(reinterpret_cast<const char*>(w.buffer().data()),
-                     w.size());
-}
-
-std::optional<Value> UdfMemoCache::Lookup(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-size_t UdfMemoCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return index_.size();
-}
-
-void UdfMemoCache::Insert(const std::string& key, const Value& result) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = result;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (index_.size() >= capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-  lru_.emplace_front(key, result);
-  index_[key] = lru_.begin();
-}
 
 Status UdfContext::ChargeCallback() {
   if (handler_ == nullptr) {
@@ -173,8 +117,12 @@ void UdfRunner::EnsureMetrics() {
   });
 }
 
-Result<Value> UdfRunner::InvokeCounted(const std::vector<Value>& args,
-                                       UdfContext* ctx) {
+Result<Value> UdfRunner::Invoke(const std::vector<Value>& args,
+                                UdfContext* ctx) {
+  // Fail fast once the query deadline has passed: no design should start a
+  // fresh boundary crossing for a query that is already dead.
+  if (ctx != nullptr) JAGUAR_RETURN_IF_ERROR(ctx->CheckDeadline());
+  EnsureMetrics();
   invocations_->Add();
   uint64_t in_bytes = 0;
   for (const Value& v : args) in_bytes += v.SerializedSize();
@@ -191,30 +139,6 @@ Result<Value> UdfRunner::InvokeCounted(const std::vector<Value>& args,
   return result;
 }
 
-Result<Value> UdfRunner::Invoke(const std::vector<Value>& args,
-                                UdfContext* ctx) {
-  // Fail fast once the query deadline has passed: no design should start a
-  // fresh boundary crossing for a query that is already dead.
-  if (ctx != nullptr) JAGUAR_RETURN_IF_ERROR(ctx->CheckDeadline());
-  EnsureMetrics();
-  if (memo_ == nullptr) return InvokeCounted(args, ctx);
-  const std::string key = UdfMemoCache::KeyFor(args);
-  if (std::optional<Value> hit = memo_->Lookup(key)) {
-    MemoHits()->Add();
-    return *std::move(hit);
-  }
-  MemoMisses()->Add();
-  const uint64_t callbacks_before = ctx != nullptr ? ctx->callbacks_made() : 0;
-  Result<Value> result = InvokeCounted(args, ctx);
-  // Memoize only callback-free invocations: a callback makes the result
-  // server-state-dependent and is itself an observable event.
-  if (result.ok() &&
-      (ctx == nullptr || ctx->callbacks_made() == callbacks_before)) {
-    memo_->Insert(key, *result);
-  }
-  return result;
-}
-
 Result<std::vector<Value>> UdfRunner::DoInvokeBatch(
     const std::vector<std::vector<Value>>& args_batch, UdfContext* ctx) {
   std::vector<Value> results;
@@ -226,8 +150,11 @@ Result<std::vector<Value>> UdfRunner::DoInvokeBatch(
   return results;
 }
 
-Result<std::vector<Value>> UdfRunner::InvokeBatchCounted(
+Result<std::vector<Value>> UdfRunner::InvokeBatch(
     const std::vector<std::vector<Value>>& args_batch, UdfContext* ctx) {
+  if (args_batch.empty()) return std::vector<Value>();
+  if (ctx != nullptr) JAGUAR_RETURN_IF_ERROR(ctx->CheckDeadline());
+  EnsureMetrics();
   static obs::Counter* batch_invocations =
       obs::MetricsRegistry::Global()->GetCounter("udf.batch.invocations");
   static obs::Counter* batch_items =
@@ -259,45 +186,6 @@ Result<std::vector<Value>> UdfRunner::InvokeBatchCounted(
     failures_->Add();
   }
   if (outcome_listener_) outcome_listener_(results.status());
-  return results;
-}
-
-Result<std::vector<Value>> UdfRunner::InvokeBatch(
-    const std::vector<std::vector<Value>>& args_batch, UdfContext* ctx) {
-  if (args_batch.empty()) return std::vector<Value>();
-  if (ctx != nullptr) JAGUAR_RETURN_IF_ERROR(ctx->CheckDeadline());
-  EnsureMetrics();
-  if (memo_ == nullptr) return InvokeBatchCounted(args_batch, ctx);
-
-  std::vector<Value> results(args_batch.size());
-  std::vector<std::string> keys(args_batch.size());
-  std::vector<size_t> miss_rows;
-  for (size_t row = 0; row < args_batch.size(); ++row) {
-    keys[row] = UdfMemoCache::KeyFor(args_batch[row]);
-    if (std::optional<Value> hit = memo_->Lookup(keys[row])) {
-      MemoHits()->Add();
-      results[row] = *std::move(hit);
-    } else {
-      MemoMisses()->Add();
-      miss_rows.push_back(row);
-    }
-  }
-  if (miss_rows.empty()) return results;
-
-  std::vector<std::vector<Value>> miss_batch;
-  miss_batch.reserve(miss_rows.size());
-  for (size_t row : miss_rows) miss_batch.push_back(args_batch[row]);
-  const uint64_t callbacks_before = ctx != nullptr ? ctx->callbacks_made() : 0;
-  JAGUAR_ASSIGN_OR_RETURN(std::vector<Value> miss_results,
-                          InvokeBatchCounted(miss_batch, ctx));
-  // Callbacks cannot be attributed to individual rows of a batch, so any
-  // callback during the crossing makes the whole batch non-memoizable.
-  const bool memoizable =
-      ctx == nullptr || ctx->callbacks_made() == callbacks_before;
-  for (size_t i = 0; i < miss_rows.size(); ++i) {
-    if (memoizable) memo_->Insert(keys[miss_rows[i]], miss_results[i]);
-    results[miss_rows[i]] = std::move(miss_results[i]);
-  }
   return results;
 }
 

@@ -10,13 +10,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -113,47 +110,6 @@ class NativeUdfRegistry {
   std::map<std::string, NativeUdfEntry> entries_;
 };
 
-/// Size-bounded LRU memo of UDF results keyed by serialized arguments.
-/// UDFs are side-effect-free expressions (Section 4), so a deterministic
-/// invocation is a pure function of its arguments and repeated invocations
-/// can be short-circuited without crossing any boundary at all. The runner
-/// only memoizes invocations that made **zero callbacks** — a callback both
-/// makes the result potentially server-state-dependent and is an observable
-/// side effect the figures count. `UdfManager` owns one cache per cached
-/// runner (opt-in via the engine's `udf_memo_entries` option) and drops it
-/// whenever the runner cache is invalidated, so re-registering a UDF can
-/// never serve results of the old implementation.
-///
-/// Thread-safe: parallel scan workers share one runner (and therefore one
-/// memo); lookups return the value by copy because the LRU list mutates on
-/// every hit.
-class UdfMemoCache {
- public:
-  explicit UdfMemoCache(size_t capacity) : capacity_(capacity) {}
-
-  /// Canonical lookup key: argument count + each value's wire encoding.
-  static std::string KeyFor(const std::vector<Value>& args);
-
-  /// \return The cached result, or nullopt on a miss. A hit refreshes the
-  /// entry's LRU position.
-  std::optional<Value> Lookup(const std::string& key);
-
-  /// Inserts (or refreshes) `key`, evicting the least recently used entry
-  /// when the cache is at capacity.
-  void Insert(const std::string& key, const Value& result);
-
-  size_t size() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  using Entry = std::pair<std::string, Value>;
-
-  mutable std::mutex mutex_;
-  size_t capacity_;
-  std::list<Entry> lru_;  ///< Front = most recently used.
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-};
-
 /// One invocable UDF, bound to a concrete execution design. Implementations:
 /// `IntegratedNativeRunner` (Design 1), `IsolatedNativeRunner` (Design 2),
 /// `JvmUdfRunner` (Design 3), `SfiNativeRunner` (Section 2.3).
@@ -187,17 +143,10 @@ class UdfRunner {
   Result<std::vector<Value>> InvokeBatch(
       const std::vector<std::vector<Value>>& args_batch, UdfContext* ctx);
 
-  /// Attaches (or detaches, with null) a result memo consulted by `Invoke`
-  /// and `InvokeBatch` before crossing into the UDF. Memo hits bypass
-  /// `DoInvoke` entirely — including the per-design counters — and count
-  /// under `udf.memo.hits`. The caller owns the cache and must keep it
-  /// alive as long as the runner may be invoked.
-  void set_memo_cache(UdfMemoCache* memo) { memo_ = memo; }
-
   /// Observer called with the outcome `Status` of every counted invocation
   /// (per batch for `InvokeBatch`). Installed by the resolver to feed the
-  /// per-UDF quarantine tracker; memo hits and deadline fail-fasts (where the
-  /// UDF never ran) are not reported. May be empty.
+  /// per-UDF quarantine tracker; deadline fail-fasts (where the UDF never
+  /// ran) are not reported. May be empty.
   using OutcomeListener = std::function<void(const Status&)>;
   void set_outcome_listener(OutcomeListener listener) {
     outcome_listener_ = std::move(listener);
@@ -228,19 +177,12 @@ class UdfRunner {
   /// virtual, so this cannot run in the constructor).
   void EnsureMetrics();
 
-  /// `DoInvoke` wrapped in the per-design metrics (no memo consultation).
-  Result<Value> InvokeCounted(const std::vector<Value>& args, UdfContext* ctx);
-  /// `DoInvokeBatch` wrapped in the per-design + batch metrics.
-  Result<std::vector<Value>> InvokeBatchCounted(
-      const std::vector<std::vector<Value>>& args_batch, UdfContext* ctx);
-
   std::once_flag metrics_once_;
   obs::Counter* invocations_ = nullptr;
   obs::Counter* failures_ = nullptr;
   obs::Counter* arg_bytes_ = nullptr;
   obs::Counter* result_bytes_ = nullptr;
   obs::Histogram* latency_ns_ = nullptr;
-  UdfMemoCache* memo_ = nullptr;  ///< Owned by the resolver; may be null.
   OutcomeListener outcome_listener_;
 };
 

@@ -64,10 +64,6 @@ Result<UdfRunner*> UdfManager::Resolve(const std::string& name,
   if (it == cache_.end()) {
     cache_misses->Add();
     JAGUAR_ASSIGN_OR_RETURN(CachedRunner built, Build(name));
-    if (memo_capacity_ > 0) {
-      built.memo = std::make_unique<UdfMemoCache>(memo_capacity_);
-      built.runner->set_memo_cache(built.memo.get());
-    }
     if (quarantine_ != nullptr) {
       QuarantineTracker* tracker = quarantine_;
       built.runner->set_outcome_listener([tracker, key](const Status& s) {

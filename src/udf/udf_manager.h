@@ -43,16 +43,8 @@ class UdfManager : public UdfResolver {
   /// Installs the factory for `lang` (kNativeIsolated, kJJava, kNativeSfi).
   void SetRunnerFactory(UdfLanguage lang, RunnerFactory factory);
 
-  /// Enables the per-(UDF, arguments) result memo: every runner built from
-  /// now on gets an LRU `UdfMemoCache` bounded at `entries` results
-  /// (0 = disabled, the default — the paper's figures measure real
-  /// per-invocation crossings). Existing cached runners are unaffected
-  /// until the next invalidation.
-  void set_memo_capacity(size_t entries) { memo_capacity_ = entries; }
-
-  /// Drops cached runners and their memo caches (required after catalog
-  /// mutations that change a UDF's registration — this is what guarantees
-  /// memoized results never outlive a re-registration).
+  /// Drops cached runners (required after catalog mutations that change a
+  /// UDF's registration, so a re-registered UDF runs its new design).
   void InvalidateCache() { cache_.clear(); }
 
   /// Attaches the per-UDF quarantine tracker (not owned; may be null to
@@ -68,8 +60,6 @@ class UdfManager : public UdfResolver {
     std::unique_ptr<UdfRunner> runner;
     TypeId return_type;
     std::vector<TypeId> arg_types;
-    /// Result memo attached to `runner` (null when memoization is off).
-    std::unique_ptr<UdfMemoCache> memo;
   };
 
   Result<CachedRunner> Build(const std::string& name);
@@ -77,7 +67,6 @@ class UdfManager : public UdfResolver {
   const Catalog* catalog_;
   std::map<UdfLanguage, RunnerFactory> factories_;
   std::map<std::string, CachedRunner> cache_;
-  size_t memo_capacity_ = 0;
   QuarantineTracker* quarantine_ = nullptr;
 };
 

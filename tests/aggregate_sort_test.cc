@@ -57,6 +57,16 @@ std::vector<std::vector<uint8_t>> Serialized(const std::vector<Tuple>& rows) {
   return out;
 }
 
+/// Evaluates `plan`'s inputs over `rows` and folds them into `agg`, as the
+/// pipeline's aggregate sink does.
+Status Feed(HashAggregator* agg, const AggregatePlan& plan,
+            const std::vector<Tuple>& rows, bool batched) {
+  std::vector<Value> values;
+  JAGUAR_RETURN_IF_ERROR(Evaluator().EvalRows(
+      plan.Inputs(), rows.data(), rows.size(), batched, nullptr, &values));
+  return agg->Consume(&values, rows.size());
+}
+
 constexpr const char* kGroupedSql =
     "SELECT k, COUNT(*), COUNT(v), SUM(v), AVG(d), MIN(v), MAX(d) "
     "FROM t GROUP BY k";
@@ -67,7 +77,7 @@ TEST(AggregateUnitTest, PartialMergeMatchesSinglePass) {
 
   HashAggregator single(&plan);
   for (const Tuple& t : rows) {
-    ASSERT_TRUE(single.Consume({t}, /*batched=*/false, nullptr).ok());
+    ASSERT_TRUE(Feed(&single, plan, {t}, /*batched=*/false).ok());
   }
   std::vector<std::vector<uint8_t>> expect =
       Serialized(single.Finalize(nullptr).value());
@@ -80,7 +90,7 @@ TEST(AggregateUnitTest, PartialMergeMatchesSinglePass) {
     for (size_t p = 0; p < parts; ++p) partials.emplace_back(&plan);
     for (size_t i = 0; i < rows.size(); ++i) {
       size_t p = i * parts / rows.size();
-      ASSERT_TRUE(partials[p].Consume({rows[i]}, /*batched=*/true, nullptr).ok());
+      ASSERT_TRUE(Feed(&partials[p], plan, {rows[i]}, /*batched=*/true).ok());
     }
     for (size_t p = 1; p < parts; ++p) {
       ASSERT_TRUE(partials[0].MergeFrom(&partials[p], nullptr).ok());
@@ -201,8 +211,8 @@ TEST(AggregateUnitTest, MergeAndFinalizeHonorExpiredDeadline) {
   HashAggregator b(&plan);
   for (int i = 0; i < 3000; ++i) {
     Tuple row({Value::Int(0), Value::Int(i), Value::Null()});
-    ASSERT_TRUE(a.Consume({row}, /*batched=*/false, nullptr).ok());
-    ASSERT_TRUE(b.Consume({row}, /*batched=*/false, nullptr).ok());
+    ASSERT_TRUE(Feed(&a, plan, {row}, /*batched=*/false).ok());
+    ASSERT_TRUE(Feed(&b, plan, {row}, /*batched=*/false).ok());
   }
   QueryDeadline expired = QueryDeadline::After(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));

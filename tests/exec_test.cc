@@ -1,13 +1,15 @@
 // Unit tests for src/exec: binding, expression evaluation (three-valued
 // logic, coercions), and the pipeline every SELECT runs — its record loop,
 // sources and sinks, tuple at a time and batched — tested directly, below
-// the engine facade.
+// the engine facade; then, through the engine, the exact UDF call sequence
+// of each statement shape in both engines.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "engine/database.h"
 #include "exec/aggregate.h"
 #include "exec/expression.h"
 #include "exec/index_scan.h"
@@ -41,7 +43,12 @@ Result<Value> EvalText(const std::string& text,
   JAGUAR_ASSIGN_OR_RETURN(sql::ExprPtr expr, sql::ParseExpression(text));
   JAGUAR_ASSIGN_OR_RETURN(BoundExprPtr bound,
                           Bind(*expr, TestSchema(), "t", "T", resolver));
-  return Eval(*bound, TestTuple(), nullptr);
+  const Tuple row = TestTuple();
+  std::vector<Value> values;
+  JAGUAR_RETURN_IF_ERROR(Evaluator().EvalRows({bound.get()}, &row, 1,
+                                              /*batched=*/false, nullptr,
+                                              &values));
+  return values[0];
 }
 
 TEST(ExpressionTest, ColumnsAndArithmetic) {
@@ -91,12 +98,16 @@ TEST(ExpressionTest, BindErrors) {
   EXPECT_TRUE(EvalText("f(a)").status().IsNotSupported());
 }
 
-TEST(ExpressionTest, EvalPredicateSemantics) {
+TEST(ExpressionTest, FilterKeepsOnlyTrueRows) {
   auto check = [](const std::string& text) -> Result<bool> {
     auto expr = sql::ParseExpression(text).value();
     JAGUAR_ASSIGN_OR_RETURN(BoundExprPtr bound,
                             Bind(*expr, TestSchema(), "t", "", nullptr));
-    return EvalPredicate(*bound, TestTuple(), nullptr);
+    const Tuple row = TestTuple();
+    Selection sel = {0};
+    JAGUAR_RETURN_IF_ERROR(Evaluator().Filter(*bound, &row, /*batched=*/false,
+                                              nullptr, &sel));
+    return !sel.empty();
   };
   EXPECT_TRUE(check("a > 3").value());
   EXPECT_FALSE(check("a > 30").value());
@@ -106,10 +117,16 @@ TEST(ExpressionTest, EvalPredicateSemantics) {
   EXPECT_TRUE(check("a + 1").status().IsInvalidArgument());
 }
 
-/// A native-design stand-in for a UDF `f(INT) -> INT`: returns its argument
-/// and records each per-row call and the size of each batch crossing.
+/// A native-design stand-in for a UDF `name(INT) -> INT`: returns its
+/// argument and records each per-row call and the size of each batch
+/// crossing. With a `log`, it also appends every per-row call as
+/// `name(arg)` and every batch crossing as `name[arg arg ...]`.
 class RecordingRunner : public UdfRunner {
  public:
+  explicit RecordingRunner(std::string name = "f",
+                           std::vector<std::string>* log = nullptr)
+      : name_(std::move(name)), log_(log) {}
+
   std::string design_label() const override { return "C++"; }
 
   void Reset() {
@@ -124,6 +141,9 @@ class RecordingRunner : public UdfRunner {
   Result<Value> DoInvoke(const std::vector<Value>& args,
                          UdfContext*) override {
     ++row_calls;
+    if (log_ != nullptr) {
+      log_->push_back(name_ + "(" + args[0].ToString() + ")");
+    }
     return args[0];
   }
   Result<std::vector<Value>> DoInvokeBatch(
@@ -131,9 +151,19 @@ class RecordingRunner : public UdfRunner {
       UdfContext*) override {
     batches.push_back(args_batch.size());
     std::vector<Value> out;
-    for (const std::vector<Value>& args : args_batch) out.push_back(args[0]);
+    std::string crossing = name_ + "[";
+    for (const std::vector<Value>& args : args_batch) {
+      out.push_back(args[0]);
+      if (crossing.back() != '[') crossing += " ";
+      crossing += args[0].ToString();
+    }
+    if (log_ != nullptr) log_->push_back(crossing + "]");
     return out;
   }
+
+ private:
+  std::string name_;
+  std::vector<std::string>* log_;
 };
 
 class RecordingResolver : public UdfResolver {
@@ -432,6 +462,106 @@ TEST_F(OperatorTest, ScanDecodesOnlyTheColumnsThePlanReads) {
   p.ctx = &ctx;
   EXPECT_EQ(Strings(RunPipeline(p).value()),
             (std::vector<std::string>{"(10)"}));
+}
+
+/// The UDF calls every statement shape makes, through the engine: `f` and
+/// `g` (INT -> INT, each returning its argument) are recording runners, and
+/// t (a INT, x INT, y INT) holds a = 0..5. Tuple at a time, each call is
+/// logged as `f(a)`; under the batch protocol at batch size 4, each
+/// crossing as `f[a a ...]`.
+class CallSequenceTest : public ::testing::Test {
+ protected:
+  std::vector<std::string> Run(bool batched, const std::string& sql) {
+    TempDb file(batched ? "call_sequence_batched" : "call_sequence_rows");
+    DatabaseOptions options;
+    options.vectorized_execution = batched;
+    options.batch_size = 4;
+    std::unique_ptr<Database> db = Database::Open(file.path(), options).value();
+    std::vector<std::string> log;
+    // The SFI design's runner factory stands in for the recording runners.
+    db->udf_manager()->SetRunnerFactory(
+        UdfLanguage::kNativeSfi,
+        [&log](const UdfInfo& info) -> Result<std::unique_ptr<UdfRunner>> {
+          return std::unique_ptr<UdfRunner>(
+              std::make_unique<RecordingRunner>(info.name, &log));
+        });
+    for (const char* name : {"f", "g"}) {
+      UdfInfo info;
+      info.name = name;
+      info.language = UdfLanguage::kNativeSfi;
+      info.impl_name = name;
+      info.return_type = TypeId::kInt;
+      info.arg_types = {TypeId::kInt};
+      EXPECT_TRUE(db->RegisterUdf(info).ok());
+    }
+    EXPECT_TRUE(db->Execute("CREATE TABLE t (a INT, x INT, y INT)").ok());
+    EXPECT_TRUE(db->Execute("INSERT INTO t VALUES (0, 0, 0), (1, 0, 0), "
+                            "(2, 0, 0), (3, 0, 0), (4, 0, 0), (5, 0, 0)")
+                    .ok());
+    Result<QueryResult> r = db->Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status();
+    return log;
+  }
+
+  void Expect(const std::string& sql, const std::vector<std::string>& rows,
+              const std::vector<std::string>& batches) {
+    SCOPED_TRACE(sql);
+    EXPECT_EQ(Run(/*batched=*/false, sql), rows);
+    EXPECT_EQ(Run(/*batched=*/true, sql), batches);
+  }
+};
+
+TEST_F(CallSequenceTest, ProjectionWithTwoUdfs) {
+  Expect("SELECT f(a), g(a) FROM t",
+         {"f(0)", "g(0)", "f(1)", "g(1)", "f(2)", "g(2)", "f(3)", "g(3)",
+          "f(4)", "g(4)", "f(5)", "g(5)"},
+         {"f[0 1 2 3]", "g[0 1 2 3]", "f[4 5]", "g[4 5]"});
+}
+
+TEST_F(CallSequenceTest, NestedCalls) {
+  Expect("SELECT f(g(a)) FROM t",
+         {"g(0)", "f(0)", "g(1)", "f(1)", "g(2)", "f(2)", "g(3)", "f(3)",
+          "g(4)", "f(4)", "g(5)", "f(5)"},
+         {"g[0 1 2 3]", "f[0 1 2 3]", "g[4 5]", "f[4 5]"});
+}
+
+TEST_F(CallSequenceTest, UdfInWhereAndInTheProjection) {
+  Expect("SELECT g(a) FROM t WHERE f(a) > 2",
+         {"f(0)", "f(1)", "f(2)", "f(3)", "g(3)", "f(4)", "g(4)", "f(5)",
+          "g(5)"},
+         {"f[0 1 2 3]", "g[3]", "f[4 5]", "g[4 5]"});
+}
+
+TEST_F(CallSequenceTest, AndRunsItsRightSideOnlyOnOpenRows) {
+  // Rows 3..5 are decided by `a < 3`; the second batch has no open row.
+  Expect("SELECT a FROM t WHERE a < 3 AND f(a) > 0", {"f(0)", "f(1)", "f(2)"},
+         {"f[0 1 2]"});
+}
+
+TEST_F(CallSequenceTest, OrRunsItsRightSideOnlyOnOpenRows) {
+  Expect("SELECT a FROM t WHERE a < 3 OR f(a) > 0", {"f(3)", "f(4)", "f(5)"},
+         {"f[3]", "f[4 5]"});
+}
+
+TEST_F(CallSequenceTest, UpdateFindsEveryRowBeforeItsSetClauseRuns) {
+  Expect("UPDATE t SET x = f(a), y = g(a) WHERE f(a) > 0",
+         {"f(0)", "f(1)", "f(2)", "f(3)", "f(4)", "f(5)", "f(1)", "g(1)",
+          "f(2)", "g(2)", "f(3)", "g(3)", "f(4)", "g(4)", "f(5)", "g(5)"},
+         {"f[0 1 2 3]", "f[4 5]", "f[1 2 3 4]", "g[1 2 3 4]", "f[5]",
+          "g[5]"});
+}
+
+TEST_F(CallSequenceTest, DeleteWhere) {
+  Expect("DELETE FROM t WHERE f(a) > 0",
+         {"f(0)", "f(1)", "f(2)", "f(3)", "f(4)", "f(5)"},
+         {"f[0 1 2 3]", "f[4 5]"});
+}
+
+TEST_F(CallSequenceTest, InsertValuesCallsEachUdfOncePerRow) {
+  // Each VALUES row is bound on its own: one call per call node, batched
+  // engine included.
+  Expect("INSERT INTO t VALUES (f(1), 0, 0), (g(2), 0, 0)", {"f(1)", "g(2)"},
+         {"f(1)", "g(2)"});
 }
 
 }  // namespace

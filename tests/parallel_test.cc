@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -30,6 +32,73 @@
 
 namespace jaguar {
 namespace {
+
+// ---------------------------------------------------------------------------
+// A parallel LIMIT does no more work than its serial plan
+// ---------------------------------------------------------------------------
+
+TEST(ParallelLimitTest, SerialAndParallelPlansMakeIdenticalCounts) {
+  // 4,000 rows of 100 bytes: ~60 heap pages, ~15 four-page morsels.
+  constexpr int kLimitRows = 4000;
+  const char* sql = "SELECT id FROM t WHERE byte_at(b, 0) >= 0 LIMIT 10";
+  struct Counts {
+    uint64_t udf_calls = 0;
+    uint64_t page_fetches = 0;
+    uint64_t parallel_queries = 0;
+    bool operator==(const Counts& o) const {
+      return udf_calls == o.udf_calls && page_fetches == o.page_fetches &&
+             parallel_queries == o.parallel_queries;
+    }
+  };
+  auto delta = [](const QueryResult& r, const char* name) -> uint64_t {
+    auto it = r.metrics_delta.find(name);
+    return it != r.metrics_delta.end() ? it->second : 0;
+  };
+  std::optional<Counts> serial;
+  std::string serial_rows;
+  for (size_t workers : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    TempDb file("parallel_limit_" + std::to_string(workers));
+    DatabaseOptions options;
+    options.vectorized_execution = true;
+    options.num_workers = workers;
+    auto db = Database::Open(file.path(), options).value();
+    ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT, b BYTEARRAY)").ok());
+    for (int start = 0; start < kLimitRows; start += 200) {
+      std::string insert = "INSERT INTO t VALUES ";
+      for (int i = start; i < start + 200; ++i) {
+        if (i > start) insert += ", ";
+        insert += StringPrintf("(%d, randbytes(100, %d))", i, i);
+      }
+      ASSERT_TRUE(db->Execute(insert).ok());
+    }
+    for (int run = 0; run < 6; ++run) {
+      QueryResult r = db->Execute(sql).value();
+      std::string rows;
+      for (const Tuple& t : r.rows) rows += t.ToString();
+      Counts counts;
+      counts.udf_calls = delta(r, "udf.cpp.invocations");
+      counts.page_fetches = delta(r, "storage.bufferpool.hits") +
+                            delta(r, "storage.bufferpool.misses");
+      counts.parallel_queries = delta(r, "exec.parallel.queries");
+      if (!serial.has_value()) {
+        ASSERT_EQ(r.rows.size(), 10u);
+        EXPECT_EQ(counts.udf_calls, 10u);
+        EXPECT_EQ(counts.parallel_queries, 0u);
+        serial = counts;
+        serial_rows = rows;
+        continue;
+      }
+      SCOPED_TRACE("run " + std::to_string(run));
+      EXPECT_EQ(rows, serial_rows);
+      EXPECT_TRUE(counts == *serial)
+          << counts.udf_calls << " calls, " << counts.page_fetches
+          << " fetches, " << counts.parallel_queries << " parallel; serial "
+          << serial->udf_calls << ", " << serial->page_fetches << ", "
+          << serial->parallel_queries;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Parallel SQL execution == serial SQL execution, across every design
@@ -185,11 +254,19 @@ TEST_F(ParallelTest, OrderByLimitAndAggregatesRunParallel) {
   EXPECT_GE(ParallelQueries(ordered), 1u);
   EXPECT_GE(MetricDelta(ordered, "exec.sort.parallel_queries"), 1u);
 
-  // LIMIT no longer disables parallelism: truncation happens after the
-  // morsel-order merge, so the kept prefix is the serial scan's first 7.
-  QueryResult limited = ExpectSameRows("SELECT length(b) FROM r LIMIT 7");
-  EXPECT_GE(ParallelQueries(limited), 1u);
+  // A scan under LIMIT runs as one stream: the serial plan, with its UDF
+  // calls and page fetches, and no morsel.
+  const char* limit_sql = "SELECT length(b) FROM r LIMIT 7";
+  QueryResult serial_limited = MustExecute(serial_db_.get(), limit_sql);
+  QueryResult limited = ExpectSameRows(limit_sql);
+  EXPECT_EQ(ParallelQueries(limited), 0u);
   EXPECT_EQ(limited.rows.size(), 7u);
+  EXPECT_EQ(MetricDelta(limited, "udf.cpp.invocations"),
+            MetricDelta(serial_limited, "udf.cpp.invocations"));
+  EXPECT_EQ(MetricDelta(limited, "storage.bufferpool.hits") +
+                MetricDelta(limited, "storage.bufferpool.misses"),
+            MetricDelta(serial_limited, "storage.bufferpool.hits") +
+                MetricDelta(serial_limited, "storage.bufferpool.misses"));
 
   // Aggregates build per-morsel partial hash tables merged in morsel order.
   QueryResult agg = ExpectSameRows("SELECT COUNT(*) FROM r");

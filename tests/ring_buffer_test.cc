@@ -7,6 +7,7 @@
 
 #include "common/ring_buffer.h"
 
+#include <sched.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -151,6 +152,42 @@ TEST(RingBufferTest, ReadTimesOutOnAnEmptyRing) {
   auto frame = h.ring()->Read(w);
   ASSERT_FALSE(frame.ok());
   EXPECT_TRUE(frame.status().IsIoError());
+}
+
+/// Spinning pays only while the peer can run on another CPU. A thread that
+/// may use one CPU (as in a `taskset -c 0` process) waits on an empty ring
+/// until a short deadline, and it parks without spinning at all.
+TEST(RingBufferTest, AWaiterPinnedToOneCpuParksWithoutSpinning) {
+  obs::Counter spins;
+  obs::Counter parks;
+  bool pinned = false;
+  Status read = Status::OK();
+  std::thread waiter([&] {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (::sched_getaffinity(0, sizeof(mask), &mask) != 0) return;
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &mask)) ++cpu;
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    if (::sched_setaffinity(0, sizeof(mask), &mask) != 0) return;
+    pinned = true;
+    RingStats stats;
+    stats.spins = &spins;
+    stats.parks = &parks;
+    RingHarness h(4096, 128, stats);
+    read = h.init_status();
+    if (!read.ok()) return;
+    const QueryDeadline deadline = QueryDeadline::After(20);
+    SpscRingBuffer::WaitOptions w;
+    w.deadline = &deadline;
+    read = h.ring()->Read(w).status();
+  });
+  waiter.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_TRUE(read.IsDeadlineExceeded()) << read;
+  EXPECT_EQ(spins.value(), 0u);
+  EXPECT_GE(parks.value(), 1u);
 }
 
 TEST(RingBufferTest, ReadFailsWithinASliceOnceThePeerChildExits) {

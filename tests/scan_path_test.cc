@@ -6,22 +6,32 @@
 //     rows over a table with NULLs and with inline and overflow records, and
 //     each does exactly the work the data implies: rows scanned, rows
 //     passing and UDF invocations.
-//   - A parallel LIMIT stops handing out morsels once its rows are in hand.
+//   - A scan under LIMIT with 4 workers runs its serial plan: one stream,
+//     the same UDF calls and page fetches.
+//   - UPDATE and DELETE collect through the same loop: under the batch
+//     protocol a UDF in their WHERE or SET clause, or under AND/OR, crosses
+//     once per batch, on the rows it sees tuple at a time; a failure or an
+//     expired deadline in the last batch leaves the table as it was.
 //   - An 8-page pool evicts overflow pages mid-scan; views stay valid (the
 //     pin rule), no pin leaks, and a morsel scan runs only as many workers
 //     as the pool can pin for.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "udf/udf.h"
 #include "temp_db.h"
 
 namespace jaguar {
@@ -227,7 +237,7 @@ TEST_F(ScanPathABTest, ScansReadEachChainPageOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel LIMIT: stop handing out morsels once the limit is covered.
+// Parallel LIMIT: one stream, so no morsel is handed out at all.
 // ---------------------------------------------------------------------------
 
 TEST(ScanPathLimitTest, ParallelLimitStopsHandingOutMorsels) {
@@ -263,12 +273,14 @@ TEST(ScanPathLimitTest, ParallelLimitStopsHandingOutMorsels) {
     QueryResult got = MustExecute(parallel.get(), sql);
     ASSERT_EQ(want.rows.size(), 10u);
     EXPECT_EQ(SerializedRows(got), SerializedRows(want));
-    EXPECT_GE(Delta(got, "exec.parallel.queries"), 1u);
-    // Each morsel stops at 10 rows, and only the morsels already handed out
-    // when the limit was covered run: however the workers are scheduled,
-    // at most 10 calls per morsel, far fewer than the rows (or, for the
-    // WHERE, than the rows passing).
-    EXPECT_LT(UdfInvocations(got), static_cast<uint64_t>(kManyRows / 10));
+    // The serial plan's work, however the workers would have been
+    // scheduled: no morsel, the same UDF calls and page fetches.
+    EXPECT_EQ(Delta(got, "exec.parallel.queries"), 0u);
+    EXPECT_EQ(UdfInvocations(got), UdfInvocations(want));
+    EXPECT_EQ(Delta(got, "storage.bufferpool.hits") +
+                  Delta(got, "storage.bufferpool.misses"),
+              Delta(want, "storage.bufferpool.hits") +
+                  Delta(want, "storage.bufferpool.misses"));
   }
   EXPECT_EQ(parallel->storage()->buffer_pool()->pinned_frames(), 0u);
 }
@@ -354,6 +366,123 @@ TEST(ScanPathPoolTest, TinyPoolEvictsOverflowPagesMidScanWithoutLeakingPins) {
     EXPECT_EQ(left.rows[0].value(0).AsInt(), sum);
     EXPECT_EQ(left.rows[0].value(1).AsInt(), static_cast<int64_t>(3000));
     EXPECT_EQ(pool->pinned_frames(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// UPDATE and DELETE read through the same record loop, and AND/OR narrow
+// a batch's selection: under the batch protocol a UDF there crosses once
+// per batch that has an undecided row, on exactly the rows it sees tuple at
+// a time.
+// ---------------------------------------------------------------------------
+
+constexpr int kDmlRows = 1000;
+
+std::unique_ptr<Database> OpenDmlTable(const TempDb& file, bool vectorized) {
+  DatabaseOptions options;
+  options.vectorized_execution = vectorized;
+  options.batch_size = 256;
+  auto db = Database::Open(file.path(), options).value();
+  MustExecute(db.get(), "CREATE TABLE t (id INT, v INT)");
+  MustExecute(db.get(), "CREATE INDEX t_id ON t (id)");
+  for (int start = 0; start < kDmlRows; start += 250) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = start; i < start + 250; ++i) {
+      if (i > start) sql += ", ";
+      sql += StringPrintf("(%d, %d)", i, i);
+    }
+    MustExecute(db.get(), sql);
+  }
+  return db;
+}
+
+TEST(ScanPathDmlTest, BatchedEngineBatchesAndOrAndDmlOnTheSameRows) {
+  TempDb rows_file("scan_path_dml_rows");
+  TempDb batched_file("scan_path_dml_batched");
+  auto per_row = OpenDmlTable(rows_file, /*vectorized=*/false);
+  auto batched = OpenDmlTable(batched_file, /*vectorized=*/true);
+  struct Shape {
+    const char* sql;
+    uint64_t calls;      ///< Per-row calls, in either engine.
+    uint64_t crossings;  ///< Batch crossings of the batched engine.
+  };
+  // 1,000 rows in heap order, four batches of up to 256.
+  const Shape shapes[] = {
+      {"SELECT COUNT(*) FROM t WHERE v < 250 AND abs_int(v) >= 0", 250, 1},
+      {"SELECT COUNT(*) FROM t WHERE abs_int(v) >= 0 AND v < 250", 1000, 4},
+      {"SELECT COUNT(*) FROM t WHERE v < 250 OR abs_int(v) < 0", 750, 4},
+      {"UPDATE t SET v = abs_int(v) WHERE v < 100", 100, 1},
+      {"UPDATE t SET v = v WHERE abs_int(v) >= 500", 1000, 4},
+      {"DELETE FROM t WHERE abs_int(v) >= 990", 1000, 4},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.sql);
+    QueryResult want = MustExecute(per_row.get(), shape.sql);
+    QueryResult got = MustExecute(batched.get(), shape.sql);
+    EXPECT_EQ(SerializedRows(got), SerializedRows(want));
+    EXPECT_EQ(got.rows_affected, want.rows_affected);
+    EXPECT_EQ(UdfInvocations(want), shape.calls);
+    EXPECT_EQ(Delta(want, "udf.batch.invocations"), 0u);
+    EXPECT_EQ(UdfInvocations(got), shape.calls);
+    EXPECT_EQ(Delta(got, "udf.batch.items"), shape.calls);
+    EXPECT_EQ(Delta(got, "udf.batch.invocations"), shape.crossings);
+  }
+  // Both tables, and their indexes, end byte-identical.
+  for (const char* sql :
+       {"SELECT * FROM t", "SELECT * FROM t WHERE id >= 0"}) {
+    EXPECT_EQ(SerializedRows(MustExecute(batched.get(), sql)),
+              SerializedRows(MustExecute(per_row.get(), sql)));
+  }
+}
+
+/// `fail_at(x)` fails on the table's last row; `sleep_at(x)` returns x,
+/// after sleeping 300 ms on the last row.
+Status FailAtLastRow(const std::vector<Value>& args, UdfContext*, Value* out) {
+  if (args[0].AsInt() == kDmlRows - 1) return RuntimeError("fail_at");
+  *out = args[0];
+  return Status::OK();
+}
+
+Status SleepAtLastRow(const std::vector<Value>& args, UdfContext*,
+                      Value* out) {
+  if (args[0].AsInt() == kDmlRows - 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  }
+  *out = args[0];
+  return Status::OK();
+}
+
+TEST(ScanPathDmlTest, AFailureInTheLastBatchLeavesTableAndIndexUnchanged) {
+  NativeUdfRegistry* registry = NativeUdfRegistry::Global();
+  registry->Register({"fail_at", TypeId::kInt, {TypeId::kInt}, &FailAtLastRow})
+      .ok();
+  registry
+      ->Register({"sleep_at", TypeId::kInt, {TypeId::kInt}, &SleepAtLastRow})
+      .ok();
+  TempDb file("scan_path_dml_atomic");
+  auto db = OpenDmlTable(file, /*vectorized=*/true);
+  auto contents = [&] {
+    return std::make_pair(
+        SerializedRows(MustExecute(db.get(), "SELECT * FROM t")),
+        SerializedRows(MustExecute(db.get(), "SELECT * FROM t WHERE id >= 0")));
+  };
+  const auto before = contents();
+  for (const char* sql : {"UPDATE t SET v = fail_at(v)",
+                          "UPDATE t SET v = v + 1 WHERE fail_at(v) >= 0",
+                          "DELETE FROM t WHERE fail_at(v) >= 0"}) {
+    SCOPED_TRACE(sql);
+    Result<QueryResult> r = db->Execute(sql);
+    EXPECT_TRUE(r.status().IsRuntimeError()) << r.status();
+    EXPECT_EQ(contents(), before);
+  }
+  MustExecute(db.get(), "SET TIMEOUT 100");
+  for (const char* sql : {"UPDATE t SET v = sleep_at(v)",
+                          "UPDATE t SET v = v + 1 WHERE sleep_at(v) >= 0",
+                          "DELETE FROM t WHERE sleep_at(v) >= 0"}) {
+    SCOPED_TRACE(sql);
+    Result<QueryResult> r = db->Execute(sql);
+    EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status();
+    EXPECT_EQ(contents(), before);
   }
 }
 

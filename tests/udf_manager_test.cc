@@ -85,77 +85,6 @@ TEST(UdfManagerTest, UnknownUdfIsNotFoundAndNotCached) {
 }
 
 // ---------------------------------------------------------------------------
-// Result memoization (the Section 2.5 deterministic-UDF cache)
-// ---------------------------------------------------------------------------
-
-obs::MetricsSnapshot MemoCounters() {
-  return obs::MetricsRegistry::Global()->Snapshot("udf.");
-}
-
-uint64_t MemoDeltaOf(const obs::MetricsSnapshot& before, const char* name) {
-  obs::MetricsSnapshot delta = obs::SnapshotDelta(before, MemoCounters());
-  auto it = delta.find(name);
-  return it == delta.end() ? 0 : it->second;
-}
-
-TEST(UdfMemoCacheTest, LruEvictionAndKeying) {
-  UdfMemoCache memo(2);
-  const std::string k1 = UdfMemoCache::KeyFor({Value::Int(1)});
-  const std::string k2 = UdfMemoCache::KeyFor({Value::Int(2)});
-  const std::string k3 = UdfMemoCache::KeyFor({Value::Int(3)});
-  ASSERT_NE(k1, k2);
-
-  memo.Insert(k1, Value::Int(10));
-  memo.Insert(k2, Value::Int(20));
-  ASSERT_TRUE(memo.Lookup(k1).has_value());  // refreshes k1: k2 is now LRU
-  memo.Insert(k3, Value::Int(30));           // evicts k2
-  EXPECT_FALSE(memo.Lookup(k2).has_value());
-  ASSERT_TRUE(memo.Lookup(k1).has_value());
-  EXPECT_EQ(memo.Lookup(k1)->AsInt(), 10);
-  ASSERT_TRUE(memo.Lookup(k3).has_value());
-  EXPECT_EQ(memo.size(), 2u);
-}
-
-TEST(UdfManagerTest, MemoHitSkipsReinvocation) {
-  RegisterBuiltinUdfs();
-  UdfManager manager(nullptr);
-  manager.set_memo_capacity(8);
-  UdfRunner* runner = manager.Resolve("length", nullptr, nullptr).value();
-
-  const std::vector<Value> args = {Value::Bytes({1, 2, 3, 4})};
-  obs::MetricsSnapshot t0 = MemoCounters();
-  EXPECT_EQ(runner->Invoke(args, nullptr).value().AsInt(), 4);
-  EXPECT_EQ(MemoDeltaOf(t0, "udf.memo.misses"), 1u);
-  EXPECT_EQ(MemoDeltaOf(t0, "udf.memo.hits"), 0u);
-  EXPECT_EQ(MemoDeltaOf(t0, "udf.cpp.invocations"), 1u);
-
-  // Same arguments: served from the memo, the design's invocation counter
-  // must not move (no boundary is crossed).
-  obs::MetricsSnapshot t1 = MemoCounters();
-  EXPECT_EQ(runner->Invoke(args, nullptr).value().AsInt(), 4);
-  EXPECT_EQ(MemoDeltaOf(t1, "udf.memo.hits"), 1u);
-  EXPECT_EQ(MemoDeltaOf(t1, "udf.cpp.invocations"), 0u);
-
-  // Different arguments miss.
-  obs::MetricsSnapshot t2 = MemoCounters();
-  EXPECT_EQ(runner->Invoke({Value::Bytes({9})}, nullptr).value().AsInt(), 1);
-  EXPECT_EQ(MemoDeltaOf(t2, "udf.memo.misses"), 1u);
-
-  // Batch over a mix of cached and fresh rows: hits bypass, misses cross.
-  obs::MetricsSnapshot t3 = MemoCounters();
-  std::vector<std::vector<Value>> batch = {
-      {Value::Bytes({1, 2, 3, 4})}, {Value::Bytes({9})}, {Value::Bytes({5, 6})}};
-  std::vector<Value> results = runner->InvokeBatch(batch, nullptr).value();
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].AsInt(), 4);
-  EXPECT_EQ(results[1].AsInt(), 1);
-  EXPECT_EQ(results[2].AsInt(), 2);
-  EXPECT_EQ(MemoDeltaOf(t3, "udf.memo.hits"), 2u);
-  EXPECT_EQ(MemoDeltaOf(t3, "udf.memo.misses"), 1u);
-  EXPECT_EQ(MemoDeltaOf(t3, "udf.cpp.invocations"), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Through the engine: cache behavior across queries and re-registration
 // ---------------------------------------------------------------------------
 
@@ -237,56 +166,6 @@ TEST_F(UdfManagerE2eTest, DroppedUdfBecomesUnresolvable) {
   Result<QueryResult> r = db_->Execute("SELECT g(b, 1, 1, 0) FROM r");
   EXPECT_TRUE(r.status().IsNotFound()) << r.status();
   EXPECT_TRUE(db_->DropUdf("g").IsNotFound());  // double drop
-}
-
-TEST_F(UdfManagerE2eTest, MemoNeverServesStaleResultsAcrossReRegistration) {
-  // A separate database with the result memo enabled.
-  TempDb memo_file("udfmgr_memo");
-  const std::string& path = memo_file.path();
-  DatabaseOptions options;
-  options.udf_memo_entries = 64;
-  auto db = Database::Open(path, options).value();
-  ASSERT_TRUE(db->Execute("CREATE TABLE r (b BYTEARRAY)").ok());
-  ASSERT_TRUE(
-      db->Execute("INSERT INTO r VALUES (randbytes(16, 1)), (randbytes(16, 2))")
-          .ok());
-
-  auto register_g = [&](const std::string& impl) {
-    UdfInfo info;
-    info.name = "g";
-    info.language = UdfLanguage::kNative;
-    info.return_type = TypeId::kInt;
-    info.arg_types = {TypeId::kBytes, TypeId::kInt, TypeId::kInt, TypeId::kInt};
-    info.impl_name = impl;
-    ASSERT_TRUE(db->RegisterUdf(info).ok());
-  };
-  register_g("generic_udf");
-
-  QueryResult first = db->Execute("SELECT g(b, 3, 3, 0) FROM r").value();
-  ASSERT_EQ(first.rows.size(), 2u);
-  EXPECT_NE(first.rows[0].value(0).AsInt(), 0);
-  EXPECT_GE(first.metrics_delta.at("udf.memo.misses"), 2u);
-
-  // Identical query: both rows now come out of the memo; Design 1's
-  // invocation counter stays flat.
-  QueryResult second = db->Execute("SELECT g(b, 3, 3, 0) FROM r").value();
-  EXPECT_GE(second.metrics_delta.at("udf.memo.hits"), 2u);
-  EXPECT_EQ(second.metrics_delta.count("udf.cpp.invocations"), 0u);
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(second.rows[i].value(0).AsInt(), first.rows[i].value(0).AsInt());
-  }
-
-  // Re-register `g` with different semantics (noop_udf returns 0 for every
-  // input). If the memo outlived the re-registration, the old checksums
-  // would come back; invalidation must force fresh invocations instead.
-  ASSERT_TRUE(db->DropUdf("g").ok());
-  register_g("noop_udf");
-  QueryResult third = db->Execute("SELECT g(b, 3, 3, 0) FROM r").value();
-  EXPECT_EQ(third.metrics_delta.at("udf.cpp.invocations"), 2u);
-  EXPECT_EQ(third.metrics_delta.count("udf.memo.hits"), 0u);
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(third.rows[i].value(0).AsInt(), 0);
-  }
 }
 
 TEST_F(UdfManagerE2eTest, UnknownUdfInQueryIsCleanError) {
