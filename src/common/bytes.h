@@ -39,7 +39,6 @@ class BufferWriter {
   void PutU32(uint32_t v) { PutLE(v, 4); }
   void PutU64(uint64_t v) { PutLE(v, 8); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
 
   void PutDouble(double v) {
     uint64_t bits;
@@ -128,10 +127,6 @@ class BufferReader {
   Result<int64_t> ReadI64() {
     JAGUAR_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
     return static_cast<int64_t>(v);
-  }
-  Result<int32_t> ReadI32() {
-    JAGUAR_ASSIGN_OR_RETURN(uint32_t v, ReadU32());
-    return static_cast<int32_t>(v);
   }
 
   Result<double> ReadDouble() {

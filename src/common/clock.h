@@ -15,14 +15,11 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Now()) {}
 
-  void Restart() { start_ = Now(); }
-
-  /// \return Elapsed time since construction or last Restart, in nanoseconds.
+  /// \return Elapsed time since construction, in nanoseconds.
   int64_t ElapsedNanos() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Now() - start_)
         .count();
   }
-  double ElapsedMillis() const { return ElapsedNanos() / 1e6; }
   double ElapsedSeconds() const { return ElapsedNanos() / 1e9; }
 
  private:

@@ -58,15 +58,6 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::string Join(const std::vector<std::string>& parts, const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string StringPrintf(const char* fmt, ...) {
   va_list ap;
   va_start(ap, fmt);

@@ -27,9 +27,6 @@ std::string Trim(const std::string& s);
 bool StartsWith(const std::string& s, const std::string& prefix);
 bool EndsWith(const std::string& s, const std::string& suffix);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts, const std::string& sep);
-
 /// printf-style formatting into a std::string.
 std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

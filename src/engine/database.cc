@@ -200,13 +200,9 @@ Result<std::unique_ptr<Database>> Database::Open(
   auto db = std::unique_ptr<Database>(new Database());
   db->options_ = options;
   wal::WalOptions wal_options;
-  wal_options.enabled = options.wal_enabled;
   wal_options.fsync_on_commit = options.wal_fsync;
-  wal_options.checkpoint_bytes = options.wal_checkpoint_bytes;
   BufferPoolConfig pool_config;
   pool_config.workers_hint = std::max<size_t>(1, options.num_workers);
-  pool_config.readahead_pages = options.readahead_pages;
-  pool_config.bg_writer = options.bg_writer;
   JAGUAR_ASSIGN_OR_RETURN(
       db->storage_,
       StorageEngine::Open(path, options.buffer_pool_pages, wal_options,
@@ -216,7 +212,6 @@ Result<std::unique_ptr<Database>> Database::Open(
   // One JagVM per server, created at startup (Section 4.2: "a single JVM is
   // created when the database server starts up, and is used until shutdown").
   jvm::JvmOptions vm_options;
-  vm_options.enable_jit = options.udf_jit;
   vm_options.jit_budget_checks = options.udf_jit_budget_checks;
   db->vm_ = std::make_unique<jvm::Jvm>(vm_options);
   JAGUAR_RETURN_IF_ERROR(InstallJaguarNatives(db->vm_.get()));
@@ -233,13 +228,12 @@ Result<std::unique_ptr<Database>> Database::Open(
   const size_t pool_size = std::max<size_t>(1, options.num_workers);
   db->udf_manager_->SetRunnerFactory(
       UdfLanguage::kNativeIsolated,
-      MakeIsolatedRunnerFactory(options.isolated_shm_bytes, pool_size));
+      MakeIsolatedRunnerFactory(pool_size));
   db->udf_manager_->SetRunnerFactory(UdfLanguage::kNativeSfi,
                                      MakeSfiRunnerFactory());
   db->udf_manager_->SetRunnerFactory(
       UdfLanguage::kJJavaIsolated,
-      MakeIsolatedJvmRunnerFactory(limits, options.isolated_shm_bytes,
-                                   pool_size));
+      MakeIsolatedJvmRunnerFactory(limits, pool_size));
 
   db->lobs_ = std::make_unique<LobStore>(db->storage_.get(), db->catalog_.get());
   JAGUAR_RETURN_IF_ERROR(db->lobs_->Init());

@@ -49,9 +49,6 @@ struct DatabaseOptions {
   /// Per-invocation UDF callback quota (0 = unlimited) — part of the
   /// Section 6.2 resource-management policy.
   uint64_t udf_callback_quota = 0;
-  /// JagVM: JIT-compile JJava UDFs (false = interpret; the Figure 6
-  /// ablation).
-  bool udf_jit = true;
   /// JagVM: emit per-block CPU-budget checks in JIT code (Section 6.2
   /// accounting). The paper's 1998 JVMs had no such policing; disabling
   /// this reproduces their configuration exactly.
@@ -60,8 +57,6 @@ struct DatabaseOptions {
   int64_t udf_instruction_budget = 0;
   /// JagVM per-invocation heap quota in bytes (0 = unlimited).
   size_t udf_heap_quota_bytes = 0;
-  /// Shared-memory capacity per direction for Design-2 executors.
-  size_t isolated_shm_bytes = 1 << 20;
   /// Vectorized execution (Section 2.5): a plan reads `batch_size` records
   /// at a time and UDF calls cross the isolation boundary once per batch
   /// instead of once per tuple (the pipeline's `batched` flag). Off by
@@ -87,24 +82,10 @@ struct DatabaseOptions {
   /// mid-invocation (the paper's Table 1 security column). `SET TIMEOUT <ms>`
   /// overrides this per session.
   int64_t query_timeout_ms = 0;
-  /// Write-ahead logging (crash recovery). Off = pre-WAL behavior: no log
-  /// file, durability only at Flush()/Close().
-  bool wal_enabled = true;
   /// fsync the log after every mutating statement. Disabling keeps write
   /// ordering (the WAL rule) but lets a crash lose the last few statements;
   /// benchmarks use this so figures measure UDF costs, not fsyncs.
   bool wal_fsync = true;
-  /// Auto-checkpoint (flush + log truncation) once the log exceeds this many
-  /// bytes.
-  uint64_t wal_checkpoint_bytes = 8ull << 20;
-  /// Sequential-scan readahead depth in pages (0 = off): scans hint the
-  /// pool, a background worker prefetches, and prefetched pages enter the
-  /// replacement clock cold so one big scan cannot evict the working set.
-  size_t readahead_pages = 8;
-  /// Background writer thread: trickles dirty unpinned pages to disk
-  /// (honoring the WAL rule) so foreground fetches rarely pay a
-  /// write+fsync at eviction time.
-  bool bg_writer = false;
 };
 
 /// Server-side large-object store: the target of UDF handle callbacks

@@ -30,12 +30,5 @@ Result<const LoadedClass*> ClassLoader::FindClass(
   return NotFound("class '" + name + "' not found in this namespace");
 }
 
-std::vector<std::string> ClassLoader::ListClasses() const {
-  std::vector<std::string> names;
-  names.reserve(classes_.size());
-  for (const auto& [name, cls] : classes_) names.push_back(name);
-  return names;
-}
-
 }  // namespace jvm
 }  // namespace jaguar

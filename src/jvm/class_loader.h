@@ -58,9 +58,6 @@ class ClassLoader {
   /// Looks up `name` in this namespace, then the parent chain.
   Result<const LoadedClass*> FindClass(const std::string& name) const;
 
-  /// \return Names defined directly in this namespace (not the parents').
-  std::vector<std::string> ListClasses() const;
-
   const ClassLoader* parent() const { return parent_; }
 
  private:

@@ -208,12 +208,6 @@ void X64Assembler::XorRegImm32(Reg dst, int32_t imm) {
   Emit8(0xF0 | Low3(dst));  // /6
   Emit32(static_cast<uint32_t>(imm));
 }
-void X64Assembler::SubMemImm32(Reg base, int32_t disp, int32_t imm) {
-  Rex(Reg::RAX, base);
-  Emit8(0x81);
-  ModRmMem(static_cast<Reg>(5), base, disp);  // /5 = sub
-  Emit32(static_cast<uint32_t>(imm));
-}
 void X64Assembler::CmpRegReg(Reg a, Reg b) {
   Rex(b, a);
   Emit8(0x39);

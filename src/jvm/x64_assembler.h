@@ -69,8 +69,6 @@ class X64Assembler {
   void AndRegImm32(Reg dst, int32_t imm);
   void OrRegImm32(Reg dst, int32_t imm);
   void XorRegImm32(Reg dst, int32_t imm);
-  /// qword [base+disp] -= imm (sets flags).
-  void SubMemImm32(Reg base, int32_t disp, int32_t imm);
   void CmpRegReg(Reg a, Reg b);
   void CmpRegImm32(Reg a, int32_t imm);
   /// cmp a, qword [base+disp].

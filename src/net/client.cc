@@ -150,57 +150,6 @@ Result<Value> Client::TestUdfLocally(const std::string& source,
   }
 }
 
-Result<QueryResult> Client::ExecuteWithClientFilter(
-    const std::string& sql, const std::string& udf_source,
-    const std::string& entry, const std::string& column,
-    int64_t min_exclusive) {
-  // 1. Data shipping: the server runs the residual query; all candidate
-  //    rows cross the wire.
-  JAGUAR_ASSIGN_OR_RETURN(QueryResult shipped, Execute(sql));
-  JAGUAR_ASSIGN_OR_RETURN(size_t col, shipped.schema.IndexOf(column));
-
-  // 2. Compile the UDF locally and set up a client-side VM (compiled once,
-  //    invoked per row — same structure as the server's Design 3).
-  JAGUAR_ASSIGN_OR_RETURN(jvm::ClassFile cf, jjc::Compile(udf_source));
-  size_t dot = entry.find('.');
-  if (dot == std::string::npos) {
-    return InvalidArgument("entry point must be 'Class.method'");
-  }
-  const std::string cls_name = entry.substr(0, dot);
-  const std::string method_name = entry.substr(dot + 1);
-  jvm::Jvm vm;
-  JAGUAR_RETURN_IF_ERROR(
-      vm.system_loader()->LoadClass(Slice(cf.Serialize())).status());
-  jvm::SecurityManager security;  // no natives client-side
-
-  // 3. Post-filter.
-  QueryResult out;
-  out.schema = shipped.schema;
-  for (Tuple& row : shipped.rows) {
-    if (col >= row.num_values()) return Internal("row narrower than schema");
-    const Value& v = row.value(col);
-    jvm::ExecContext ctx(&vm, vm.system_loader(), &security, {});
-    int64_t slot;
-    switch (v.type()) {
-      case TypeId::kInt: slot = v.AsInt(); break;
-      case TypeId::kBool: slot = v.AsBool() ? 1 : 0; break;
-      case TypeId::kBytes: {
-        JAGUAR_ASSIGN_OR_RETURN(jvm::ArrayObject * arr,
-                                ctx.NewByteArray(Slice(v.AsBytes())));
-        slot = reinterpret_cast<int64_t>(arr);
-        break;
-      }
-      default:
-        return NotSupported("client filter column must be INT/BOOL/BYTEARRAY");
-    }
-    JAGUAR_ASSIGN_OR_RETURN(int64_t score,
-                            ctx.CallStatic(cls_name, method_name, {slot}));
-    if (score > min_exclusive) out.rows.push_back(std::move(row));
-  }
-  out.rows_affected = out.rows.size();
-  return out;
-}
-
 Result<int64_t> Client::StoreLob(const std::vector<uint8_t>& data) {
   JAGUAR_ASSIGN_OR_RETURN(auto response,
                           RoundTrip(FrameType::kStoreLob, Slice(data)));

@@ -62,20 +62,6 @@ class Client {
                                       const std::vector<Value>& args,
                                       TypeId return_type);
 
-  /// Client-side UDF execution — the "data shipping" alternative of Section
-  /// 3.1 and the paper's Section 7 future work. Runs `sql` at the server,
-  /// ships the result rows to the client, and keeps only rows where the
-  /// locally compiled JJava predicate `entry(row[column]) > min_exclusive`
-  /// holds, evaluated in a client-side JagVM. The server never sees the UDF
-  /// (useful when the formula is proprietary, or uploads are forbidden);
-  /// the price is shipping every candidate row — `udf/placement.h` models
-  /// when that price is worth paying.
-  Result<QueryResult> ExecuteWithClientFilter(const std::string& sql,
-                                              const std::string& udf_source,
-                                              const std::string& entry,
-                                              const std::string& column,
-                                              int64_t min_exclusive);
-
   /// Large objects.
   Result<int64_t> StoreLob(const std::vector<uint8_t>& data);
   Result<std::vector<uint8_t>> FetchLob(int64_t handle, uint64_t offset,

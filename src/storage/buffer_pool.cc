@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -67,9 +66,6 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
   if (config_.readahead_pages > 0) {
     ra_thread_ = std::thread([this] { ReadaheadLoop(); });
   }
-  if (config_.bg_writer) {
-    bg_thread_ = std::thread([this] { BgWriterLoop(); });
-  }
 }
 
 BufferPool::~BufferPool() {
@@ -89,7 +85,6 @@ void BufferPool::StopWorkers() {
   }
   ra_cv_.notify_all();
   if (ra_thread_.joinable()) ra_thread_.join();
-  if (bg_thread_.joinable()) bg_thread_.join();
 }
 
 void BufferPool::CountIoWait() {
@@ -355,19 +350,17 @@ void BufferPool::MarkFrameDirty(size_t frame, PageId id) {
 }
 
 Status BufferPool::FlushAll() {
-  // Excluding background-writer rounds (which run entirely inside bg_mutex_)
-  // means no frame is kWriting while we scan, and draining inflight_writes
-  // means every eviction write-back that started before this flush has
-  // landed. Together that makes the post-flush data file complete, which is
-  // what lets checkpoints truncate the log safely.
+  // Excluding other flushes means no frame is kWriting while we scan, and
+  // draining inflight_writes means every eviction write-back that started
+  // before this flush has landed. Together that makes the post-flush data
+  // file complete, which is what lets checkpoints truncate the log safely.
   //
-  // Like the background writer, the WAL fsync + page write run OFF the shard
-  // latch: the scan marks dirty frames kWriting (pinned ones too — FlushAll
-  // writes them, it just keeps fetch hits out while the image is under the
-  // disk write), then the latch is dropped for the actual I/O so fetches,
-  // unpins and guard releases on the shard are not stalled behind a
-  // page-by-page fsync scan.
-  std::lock_guard<std::mutex> bg(bg_mutex_);
+  // The WAL fsync + page write run OFF the shard latch: the scan marks dirty
+  // frames kWriting (pinned ones too — FlushAll writes them, it just keeps
+  // fetch hits out while the image is under the disk write), then the latch
+  // is dropped for the actual I/O so fetches, unpins and guard releases on
+  // the shard are not stalled behind a page-by-page fsync scan.
+  std::lock_guard<std::mutex> flush(flush_mutex_);
   Status result = Status::OK();
   std::vector<size_t> batch;
   for (size_t i = 0; i < shards_count_ && result.ok(); ++i) {
@@ -461,8 +454,8 @@ void BufferPool::Prefetch(const PageId* ids, size_t count) {
       ra_queue_.push_back(ids[i]);
     }
   }
-  // notify_all: the background writer parks on the same condvar, so a
-  // notify_one could wake it instead of the readahead worker.
+  // notify_all: Discard also waits on this condvar, so a notify_one could
+  // wake it instead of the readahead worker.
   ra_cv_.notify_all();
 }
 
@@ -522,71 +515,6 @@ void BufferPool::ReadaheadLoop() {
     }
     ra_cv_.notify_all();
   }
-}
-
-void BufferPool::BgWriterLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(ra_mutex_);
-      ra_cv_.wait_for(lk,
-                      std::chrono::milliseconds(config_.bg_writer_interval_ms),
-                      [this] { return stop_threads_; });
-      if (stop_threads_) return;
-    }
-    BgWriterRound();
-  }
-}
-
-size_t BufferPool::BgWriterRound() {
-  // The whole round runs inside bg_mutex_ so FlushAll (checkpoints) never
-  // overlaps a half-finished background write.
-  std::lock_guard<std::mutex> bg(bg_mutex_);
-  size_t flushed = 0;
-  std::vector<size_t> batch;
-  for (size_t i = 0; i < shards_count_; ++i) {
-    Shard& s = shards_[i];
-    batch.clear();
-    {
-      auto lk = LockShard(s);
-      for (const auto& [id, fidx] : s.table) {
-        if (batch.size() >= config_.bg_writer_batch) break;
-        Frame& f = frames_[fidx];
-        if (f.dirty && f.state == FrameState::kIdle &&
-            f.pin_count.load(std::memory_order_relaxed) == 0) {
-          // kWriting keeps fetchers (and thus mutators) out until the disk
-          // write completes; the epoch bump keeps eviction away.
-          f.state = FrameState::kWriting;
-          f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
-          s.io.insert(id);
-          batch.push_back(fidx);
-        }
-      }
-    }
-    for (size_t fidx : batch) {
-      Frame& f = frames_[fidx];
-      Status ws = WriteBackFrame(f);  // WAL rule first, then the page write
-      auto lk = LockShard(s);
-      f.state = FrameState::kIdle;
-      s.io.erase(f.id);
-      if (ws.ok()) {
-        // Safe to clear here: the frame was unpinned when marked kWriting
-        // and fetch hits wait on kWriting, so no holder could MarkDirty.
-        f.dirty = false;
-        ++flushed;
-        bgwriter_flushes_.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter* flushes = PoolCounter("bgwriter.flushes");
-        flushes->Add();
-      } else {
-        JAGUAR_LOG(kWarning) << "background write-back of page " << f.id
-                             << " failed: " << ws.ToString();
-      }
-      // Back into the replacement pool (its ring entries were invalidated
-      // when it was marked kWriting).
-      ClockPush(s, fidx);
-      s.cv.notify_all();
-    }
-  }
-  return flushed;
 }
 
 size_t BufferPool::clock_entries() const {

@@ -3,12 +3,11 @@
 
 /// \file buffer_pool.h
 /// A sharded, I/O-decoupled page cache with clock-sweep (second-chance)
-/// replacement, sequential-scan readahead and an optional background writer.
+/// replacement and sequential-scan readahead.
 ///
 /// Callers obtain pages through RAII `PageGuard`s: a guard pins its frame for
 /// its lifetime, so forgetting to unpin is impossible by construction. Dirty
-/// pages are written back on eviction, by the background writer, and on
-/// `FlushAll`.
+/// pages are written back on eviction and on `FlushAll`.
 ///
 /// Layout: pages are partitioned across `N` shards by
 /// `page_id & (N - 1)` (N is a power of two, by default
@@ -38,13 +37,8 @@
 /// wiping the working set; the first real fetch of a prefetched page counts
 /// as `storage.bufferpool.readahead.hits` and promotes it to warm.
 ///
-/// The optional background writer (`BufferPoolConfig::bg_writer`) trickles
-/// dirty unpinned frames to disk ahead of eviction so foreground fetches
-/// rarely pay a write+fsync. It obeys the WAL rule (log durable up to the
-/// page's LSN before the image reaches the data file) exactly like the
-/// eviction path, and `FlushAll` excludes concurrent writer rounds and
-/// drains in-flight write-backs before returning, which keeps checkpoint log
-/// truncation safe.
+/// `FlushAll` runs one at a time and drains in-flight eviction write-backs
+/// before returning, which keeps checkpoint log truncation safe.
 ///
 /// Thread safety: every public entry point is safe for concurrent use. Page
 /// *data* is read outside any latch — safe because a pin keeps the frame
@@ -70,7 +64,8 @@ namespace jaguar {
 
 class BufferPool;
 
-/// Construction-time knobs, threaded down from `DatabaseOptions`.
+/// Construction-time knobs. `Database::Open` sets `workers_hint` from
+/// `DatabaseOptions::num_workers`; benches and tests set the rest.
 struct BufferPoolConfig {
   /// Shard count (rounded up to a power of two, clamped to the capacity).
   /// 0 = auto: `next_pow2(min(16, workers_hint * 2))`.
@@ -81,13 +76,6 @@ struct BufferPoolConfig {
   /// Pages the readahead worker keeps in flight ahead of a sequential scan.
   /// 0 disables readahead (no worker thread is started).
   size_t readahead_pages = 8;
-  /// Start a background writer thread that trickles dirty unpinned frames
-  /// to disk ahead of eviction.
-  bool bg_writer = false;
-  /// Background writer round interval.
-  int bg_writer_interval_ms = 20;
-  /// Max frames the background writer flushes per shard per round.
-  size_t bg_writer_batch = 8;
 };
 
 /// Pins one page frame for the guard's lifetime. Movable, not copyable.
@@ -137,8 +125,8 @@ class BufferPool {
   /// \param disk backing store (must outlive the pool).
   /// \param capacity number of frames.
   /// \param wal when non-null, the pool enforces the WAL rule: before a
-  ///        dirty page is written back (eviction, background writer or
-  ///        FlushAll), the log is made durable up to that page's footer LSN.
+  ///        dirty page is written back (eviction or FlushAll), the log is
+  ///        made durable up to that page's footer LSN.
   ///        Must outlive the pool.
   BufferPool(DiskManager* disk, size_t capacity,
              wal::LogManager* wal = nullptr,
@@ -148,9 +136,8 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Stops and joins the readahead worker and the background writer
-  /// (idempotent; the destructor calls it too). The owner calls it before
-  /// closing the file the workers read and write.
+  /// Stops and joins the readahead worker (idempotent; the destructor calls
+  /// it too). The owner calls it before closing the file the worker reads.
   void StopWorkers();
 
   /// Pins page `id`, reading it from disk on miss. Concurrent fetches of the
@@ -170,11 +157,11 @@ class BufferPool {
   /// Writes back all dirty pages (pinned ones included), drains in-flight
   /// write-backs, and syncs. On return every prior mutation is in the data
   /// file, which is what makes WAL truncation after a checkpoint safe.
-  /// The writes run off the shard latches (frames are marked kWriting like
-  /// the background writer's), so concurrent fetches of other pages are not
-  /// stalled behind the flush scan. Pinned pages must not be concurrently
-  /// mutated while a flush is in flight — checkpoints run from the write
-  /// path's thread, which guarantees that today.
+  /// The writes run off the shard latches (frames are marked kWriting), so
+  /// concurrent fetches of other pages are not stalled behind the flush
+  /// scan. Pinned pages must not be concurrently mutated while a flush is in
+  /// flight — checkpoints run from the write path's thread, which
+  /// guarantees that today.
   Status FlushAll();
 
   /// Drops page `id` from the cache without writing it back. The page must
@@ -207,9 +194,6 @@ class BufferPool {
   uint64_t readahead_hits() const {
     return readahead_hits_.load(std::memory_order_relaxed);
   }
-  uint64_t bgwriter_flushes() const {
-    return bgwriter_flushes_.load(std::memory_order_relaxed);
-  }
   /// Number of currently pinned frames (for leak tests).
   size_t pinned_frames() const;
   /// Total clock-ring entries across shards, live and stale (for tests:
@@ -222,9 +206,9 @@ class BufferPool {
 
   enum class FrameState : uint8_t {
     kIdle,
-    /// Background write-back in flight: the frame stays in its page table
-    /// but fetch hits wait until the disk write completes, so the image the
-    /// writer captures is never concurrently mutated.
+    /// FlushAll write-back in flight: the frame stays in its page table but
+    /// fetch hits wait until the disk write completes, so the image being
+    /// written is never concurrently mutated.
     kWriting,
   };
 
@@ -303,9 +287,6 @@ class BufferPool {
   /// Loads one prefetch request (worker thread).
   void ReadaheadOne(PageId id);
   void ReadaheadLoop();
-  void BgWriterLoop();
-  /// One background-writer round over all shards; returns frames flushed.
-  size_t BgWriterRound();
 
   DiskManager* disk_;
   wal::LogManager* wal_;
@@ -320,11 +301,10 @@ class BufferPool {
   std::mutex free_mutex_;
   std::vector<size_t> free_frames_;
 
-  /// Serializes background-writer rounds against FlushAll: a round runs
-  /// entirely inside this lock, so FlushAll never observes a half-finished
-  /// kWriting frame and checkpoints cannot truncate the log under an
-  /// in-flight background write.
-  std::mutex bg_mutex_;
+  /// Serializes FlushAll calls: a flush never observes another flush's
+  /// half-finished kWriting frames, so a checkpoint cannot truncate the log
+  /// under a write-back still in flight.
+  std::mutex flush_mutex_;
 
   // Readahead queue + worker.
   std::mutex ra_mutex_;
@@ -335,7 +315,6 @@ class BufferPool {
   PageId ra_active_ = kInvalidPageId;
   bool stop_threads_ = false;
   std::thread ra_thread_;
-  std::thread bg_thread_;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
@@ -344,7 +323,6 @@ class BufferPool {
   std::atomic<uint64_t> shard_conflicts_{0};
   std::atomic<uint64_t> readahead_issued_{0};
   std::atomic<uint64_t> readahead_hits_{0};
-  std::atomic<uint64_t> bgwriter_flushes_{0};
 };
 
 }  // namespace jaguar

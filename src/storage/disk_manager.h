@@ -8,8 +8,8 @@
 ///
 /// Thread safety: reads and writes of distinct (or even the same) pages may
 /// run concurrently — they are single pread/pwrite calls. Allocation
-/// (`AllocatePage`/`EnsureSize`) is serialized internally so the buffer
-/// pool's background threads can extend the file safely.
+/// (`AllocatePage`/`EnsureSize`) is serialized internally so concurrent
+/// buffer-pool callers can extend the file safely.
 
 #include <atomic>
 #include <cstdint>

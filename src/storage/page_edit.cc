@@ -5,18 +5,13 @@
 namespace jaguar {
 
 WalPageEdit::WalPageEdit(wal::LogManager* wal, PageGuard* page)
-    : wal_(wal), page_(page) {
-  if (wal_ != nullptr) {
-    before_ = std::make_unique<uint8_t[]>(kPageLsnOffset);
-    std::memcpy(before_.get(), page_->data(), kPageLsnOffset);
-  }
+    : wal_(wal),
+      page_(page),
+      before_(std::make_unique<uint8_t[]>(kPageLsnOffset)) {
+  std::memcpy(before_.get(), page_->data(), kPageLsnOffset);
 }
 
 Status WalPageEdit::Commit() {
-  if (wal_ == nullptr) {
-    page_->MarkDirty();
-    return Status::OK();
-  }
   // Find the changed byte range (the footer is excluded: it belongs to the
   // log, not the edit). Most edits touch one slot + a few header bytes, so
   // one [lo, hi) range keeps records small without per-byte bookkeeping.

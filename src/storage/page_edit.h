@@ -14,8 +14,7 @@
 /// physical after-image record covering the changed byte range, stamps the
 /// record's LSN into the page footer and marks the page dirty. Nothing is
 /// appended (and the page is not dirtied) when the mutation turned out to be
-/// a no-op. With a null log manager the edit degrades to a plain MarkDirty,
-/// which keeps WAL-disabled configurations on the old code path.
+/// a no-op.
 ///
 /// One rule follows from diff-based logging: every mutation of a cached page
 /// must go through an edit that gets committed — an unlogged mutation would
@@ -33,8 +32,9 @@ namespace jaguar {
 
 class WalPageEdit {
  public:
-  /// Snapshots `page`'s current contents. `wal` may be null (WAL disabled).
-  /// The guard must stay valid and pinned until Commit().
+  /// Snapshots `page`'s current contents. `wal` must not be null (it is
+  /// `StorageEngine::wal()`). The guard must stay valid and pinned until
+  /// Commit().
   WalPageEdit(wal::LogManager* wal, PageGuard* page);
 
   WalPageEdit(const WalPageEdit&) = delete;

@@ -29,20 +29,18 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
   auto engine = std::unique_ptr<StorageEngine>(new StorageEngine());
   JAGUAR_RETURN_IF_ERROR(engine->disk_.Open(path));
 
-  if (wal_options.enabled) {
-    engine->wal_ = std::make_unique<wal::LogManager>(wal_options);
-    JAGUAR_RETURN_IF_ERROR(engine->wal_->Open(path + ".wal"));
-    if (engine->disk_.num_pages() == 0) {
-      // Brand-new data file. Any log content is a stale leftover (the data
-      // file was removed, its log was not) — reset rather than replay it
-      // into the fresh file.
-      JAGUAR_RETURN_IF_ERROR(engine->wal_->Checkpoint(0));
-    } else {
-      // Redo pass. Writes through the raw disk manager (no pool exists yet),
-      // so the pool below starts from fully recovered pages.
-      JAGUAR_RETURN_IF_ERROR(
-          engine->wal_->Recover(&engine->disk_, &engine->recovery_stats_));
-    }
+  engine->wal_ = std::make_unique<wal::LogManager>(wal_options);
+  JAGUAR_RETURN_IF_ERROR(engine->wal_->Open(path + ".wal"));
+  if (engine->disk_.num_pages() == 0) {
+    // Brand-new data file. Any log content is a stale leftover (the data
+    // file was removed, its log was not) — reset rather than replay it into
+    // the fresh file.
+    JAGUAR_RETURN_IF_ERROR(engine->wal_->Checkpoint(0));
+  } else {
+    // Redo pass. Writes through the raw disk manager (no pool exists yet),
+    // so the pool below starts from fully recovered pages.
+    JAGUAR_RETURN_IF_ERROR(
+        engine->wal_->Recover(&engine->disk_, &engine->recovery_stats_));
   }
 
   engine->pool_ = std::make_unique<BufferPool>(
@@ -61,24 +59,20 @@ Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
                                        version, kVersion));
     }
   }
-  if (engine->wal_ != nullptr) {
-    // Start from a clean slate: everything recovered (or freshly
-    // initialized) goes to disk and the log truncates, so the next crash
-    // only replays from here.
-    JAGUAR_RETURN_IF_ERROR(engine->Checkpoint());
-  }
+  // Start from a clean slate: everything recovered (or freshly initialized)
+  // goes to disk and the log truncates, so the next crash only replays from
+  // here.
+  JAGUAR_RETURN_IF_ERROR(engine->Checkpoint());
   return engine;
 }
 
 Status StorageEngine::InitHeader() {
   JAGUAR_ASSIGN_OR_RETURN(PageGuard page, pool_->NewPage());
   if (page.id() != 0) return Internal("header page is not page 0");
-  if (wal_ != nullptr) {
-    wal::WalRecord rec;
-    rec.type = wal::WalRecordType::kPageAlloc;
-    rec.page_id = page.id();
-    JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
-  }
+  wal::WalRecord rec;
+  rec.type = wal::WalRecordType::kPageAlloc;
+  rec.page_id = page.id();
+  JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
   WalPageEdit edit(wal_.get(), &page);
   StoreU32(page.data() + kOffMagic, kMagic);
   StoreU32(page.data() + kOffVersion, kVersion);
@@ -103,14 +97,12 @@ Result<PageId> StorageEngine::AllocatePage() {
   JAGUAR_ASSIGN_OR_RETURN(uint32_t head, ReadHeaderField(kOffFreeListHead));
   if (head == kInvalidPageId) {
     JAGUAR_ASSIGN_OR_RETURN(PageGuard page, pool_->NewPage());
-    if (wal_ != nullptr) {
-      // The fresh page is all zeros (LSN 0); only the file growth needs a
-      // record, so replay can re-extend a shorter file.
-      wal::WalRecord rec;
-      rec.type = wal::WalRecordType::kPageAlloc;
-      rec.page_id = page.id();
-      JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
-    }
+    // The fresh page is all zeros (LSN 0); only the file growth needs a
+    // record, so replay can re-extend a shorter file.
+    wal::WalRecord rec;
+    rec.type = wal::WalRecordType::kPageAlloc;
+    rec.page_id = page.id();
+    JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
     return page.id();
   }
   // Pop the free list: the first 4 bytes of a free page hold the next link.
@@ -145,12 +137,10 @@ Status StorageEngine::FreePage(PageId id) {
     StoreU32(page.data(), head);
     JAGUAR_RETURN_IF_ERROR(edit.Commit());
   }
-  if (wal_ != nullptr) {
-    wal::WalRecord rec;
-    rec.type = wal::WalRecordType::kPageFree;
-    rec.page_id = id;
-    JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
-  }
+  wal::WalRecord rec;
+  rec.type = wal::WalRecordType::kPageFree;
+  rec.page_id = id;
+  JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
   // Crash here and replay sees the page linked to the old head but not yet
   // installed as head — an unreferenced page, i.e. a leak, not corruption.
   JAGUAR_CRASH_POINT("storage.after_page_write_before_header");
@@ -163,16 +153,13 @@ Result<PageId> StorageEngine::GetCatalogRoot() {
 
 Status StorageEngine::SetCatalogRoot(PageId id) {
   JAGUAR_RETURN_IF_ERROR(WriteHeaderField(kOffCatalogRoot, id));
-  if (wal_ != nullptr) {
-    // Marker record for log tooling; the physical root update was logged by
-    // WriteHeaderField above.
-    wal::WalRecord rec;
-    rec.type = wal::WalRecordType::kCatalogRoot;
-    rec.page_id = 0;
-    rec.aux = id;
-    JAGUAR_RETURN_IF_ERROR(wal_->Append(std::move(rec)).status());
-  }
-  return Status::OK();
+  // Marker record for log tooling; the physical root update was logged by
+  // WriteHeaderField above.
+  wal::WalRecord rec;
+  rec.type = wal::WalRecordType::kCatalogRoot;
+  rec.page_id = 0;
+  rec.aux = id;
+  return wal_->Append(std::move(rec)).status();
 }
 
 Result<uint32_t> StorageEngine::CountFreePages() {
@@ -199,16 +186,12 @@ void StorageEngine::DropHeapDirectory(PageId first_page) {
 }
 
 Status StorageEngine::WalCommit() {
-  if (wal_ == nullptr) return Status::OK();
   JAGUAR_RETURN_IF_ERROR(wal_->Commit());
-  if (wal_->LogBytes() >= wal_->options().checkpoint_bytes) {
-    return Checkpoint();
-  }
+  if (wal_->LogBytes() >= wal::kCheckpointBytes) return Checkpoint();
   return Status::OK();
 }
 
 Status StorageEngine::Checkpoint() {
-  if (wal_ == nullptr) return pool_->FlushAll();
   // FlushAll enforces the WAL rule per page (log durable up to each page's
   // LSN) and fsyncs the data file; only then is it safe to truncate the log.
   JAGUAR_RETURN_IF_ERROR(pool_->FlushAll());
@@ -218,14 +201,12 @@ Status StorageEngine::Checkpoint() {
 
 Status StorageEngine::Close() {
   if (pool_ != nullptr) {
-    // The readahead worker and background writer use the data file; they
-    // must be gone before it closes.
+    // The readahead worker reads the data file; it must be gone before the
+    // file closes.
     pool_->StopWorkers();
     JAGUAR_RETURN_IF_ERROR(Checkpoint());
   }
-  if (wal_ != nullptr) {
-    JAGUAR_RETURN_IF_ERROR(wal_->Close());
-  }
+  JAGUAR_RETURN_IF_ERROR(wal_->Close());
   return disk_.Close();
 }
 

@@ -39,19 +39,19 @@ class StorageEngine {
   /// beside it at `path` + ".wal". Replays the log if the previous process
   /// crashed, then checkpoints so the engine starts from a clean log.
   /// \param pool_pages buffer pool capacity in pages.
-  /// \param pool_config sharding / readahead / background-writer knobs.
+  /// \param pool_config sharding and readahead knobs.
   static Result<std::unique_ptr<StorageEngine>> Open(
       const std::string& path, size_t pool_pages = 256,
       const wal::WalOptions& wal_options = wal::WalOptions(),
       const BufferPoolConfig& pool_config = BufferPoolConfig());
 
-  /// Stops the buffer pool's background workers, checkpoints, flushes
-  /// everything and closes the files.
+  /// Stops the buffer pool's readahead worker, checkpoints (which flushes
+  /// every dirty page) and closes the data file and the log.
   Status Close();
 
   BufferPool* buffer_pool() { return pool_.get(); }
   DiskManager* disk() { return &disk_; }
-  /// Null when the engine runs without a log (WalOptions::enabled == false).
+  /// The write-ahead log; never null once `Open` has succeeded.
   wal::LogManager* wal() { return wal_.get(); }
 
   /// Allocates a page, preferring the free list over growing the file.
@@ -68,7 +68,7 @@ class StorageEngine {
   Result<uint32_t> CountFreePages();
 
   /// Statement-commit hook: makes the log durable (group commit) and
-  /// auto-checkpoints once the log outgrows WalOptions::checkpoint_bytes.
+  /// auto-checkpoints once the log outgrows wal::kCheckpointBytes.
   Status WalCommit();
 
   /// Full checkpoint: log made durable, all dirty pages flushed, data file

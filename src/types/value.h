@@ -72,9 +72,6 @@ class Value {
   const std::vector<uint8_t>& AsBytes() const {
     return std::get<std::vector<uint8_t>>(data_);
   }
-  std::vector<uint8_t>& MutableBytes() {
-    return std::get<std::vector<uint8_t>>(data_);
-  }
 
   /// Numeric coercion: int → double where needed. Errors on non-numerics.
   Result<double> CoerceDouble() const;

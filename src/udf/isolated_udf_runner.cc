@@ -468,14 +468,14 @@ Result<std::vector<Value>> IsolatedNativeRunner::DoInvokeBatch(
                          [this](BufferWriter* w) { w->PutString(impl_name_); });
 }
 
-UdfManager::RunnerFactory MakeIsolatedRunnerFactory(size_t shm_capacity,
-                                                    size_t pool_size) {
-  return [shm_capacity, pool_size](const UdfInfo& info)
+UdfManager::RunnerFactory MakeIsolatedRunnerFactory(size_t pool_size) {
+  return [pool_size](const UdfInfo& info)
              -> Result<std::unique_ptr<UdfRunner>> {
     JAGUAR_ASSIGN_OR_RETURN(
         std::unique_ptr<IsolatedNativeRunner> runner,
         IsolatedNativeRunner::Spawn(info.impl_name, info.return_type,
-                                    info.arg_types, shm_capacity, pool_size));
+                                    info.arg_types, kExecutorRingBytes,
+                                    pool_size));
     return std::unique_ptr<UdfRunner>(std::move(runner));
   };
 }
@@ -582,8 +582,7 @@ Status ChildHandleVmRequest(IsolatedVmState* state, Slice request,
 }  // namespace
 
 Result<std::unique_ptr<IsolatedJvmRunner>> IsolatedJvmRunner::Spawn(
-    const UdfInfo& info, jvm::ResourceLimits limits, size_t shm_capacity,
-    size_t pool_size) {
+    const UdfInfo& info, jvm::ResourceLimits limits, size_t pool_size) {
   size_t dot = info.impl_name.find('.');
   if (dot == std::string::npos) {
     return InvalidArgument("Design-4 UDF entry point must be 'Class.method'");
@@ -611,14 +610,13 @@ Result<std::unique_ptr<IsolatedJvmRunner>> IsolatedJvmRunner::Spawn(
   auto runner = std::unique_ptr<IsolatedJvmRunner>(new IsolatedJvmRunner());
   runner->return_type_ = info.return_type;
   runner->arg_types_ = info.arg_types;
-  runner->shm_capacity_ = shm_capacity;
   runner->handler_ = [state](Slice request, ipc::Channel* channel) {
     return ChildHandleVmRequest(state.get(), request, channel);
   };
   ipc::RemoteExecutor::RequestHandler handler = runner->handler_;
   runner->pool_ = std::make_unique<ExecutorPool>(
-      [shm_capacity, handler] {
-        return ipc::RemoteExecutor::Spawn(shm_capacity, handler);
+      [handler] {
+        return ipc::RemoteExecutor::Spawn(kExecutorRingBytes, handler);
       },
       pool_size);
   JAGUAR_RETURN_IF_ERROR(runner->pool_->Prewarm(pool_size));
@@ -644,17 +642,17 @@ Result<std::vector<Value>> IsolatedJvmRunner::DoInvokeBatch(
   JAGUAR_ASSIGN_OR_RETURN(ExecutorPool::Lease lease, pool_->Acquire());
 
   const size_t header_bytes = 4;
-  return RunGuardedBatch(&lease, args_batch, header_bytes, shm_capacity_, ctx,
-                         [](BufferWriter*) {});
+  return RunGuardedBatch(&lease, args_batch, header_bytes, kExecutorRingBytes,
+                         ctx, [](BufferWriter*) {});
 }
 
 UdfManager::RunnerFactory MakeIsolatedJvmRunnerFactory(
-    jvm::ResourceLimits limits, size_t shm_capacity, size_t pool_size) {
-  return [limits, shm_capacity, pool_size](const UdfInfo& info)
+    jvm::ResourceLimits limits, size_t pool_size) {
+  return [limits, pool_size](const UdfInfo& info)
              -> Result<std::unique_ptr<UdfRunner>> {
     JAGUAR_ASSIGN_OR_RETURN(
         std::unique_ptr<IsolatedJvmRunner> runner,
-        IsolatedJvmRunner::Spawn(info, limits, shm_capacity, pool_size));
+        IsolatedJvmRunner::Spawn(info, limits, pool_size));
     return std::unique_ptr<UdfRunner>(std::move(runner));
   };
 }

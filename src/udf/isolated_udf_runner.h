@@ -42,17 +42,22 @@
 
 namespace jaguar {
 
+/// Capacity of each direction of an executor's shared-memory ring: the
+/// payload limit that one chunk of serialized arguments, one result frame
+/// or one callback reply must fit in (a Rel10000 row fits with room).
+constexpr size_t kExecutorRingBytes = 1 << 20;
+
 class IsolatedNativeRunner : public UdfRunner {
  public:
   /// Forks an executor pool for the native function `impl_name` (resolved in
   /// each child from the inherited native registry). All `pool_size`
   /// executors are pre-spawned so no worker thread forks mid-query.
   /// \param shm_capacity per-direction shared-memory data size; must hold
-  /// the largest serialized argument list (default fits Rel10000 rows).
+  /// the largest serialized argument list.
   /// \param pool_size executor processes (one per parallel scan worker).
   static Result<std::unique_ptr<IsolatedNativeRunner>> Spawn(
       const std::string& impl_name, TypeId return_type,
-      std::vector<TypeId> arg_types, size_t shm_capacity = 1 << 20,
+      std::vector<TypeId> arg_types, size_t shm_capacity = kExecutorRingBytes,
       size_t pool_size = 1);
 
   std::string design_label() const override { return "IC++"; }
@@ -87,13 +92,12 @@ class IsolatedNativeRunner : public UdfRunner {
   std::string impl_name_;
   TypeId return_type_ = TypeId::kInt;
   std::vector<TypeId> arg_types_;
-  size_t shm_capacity_ = 1 << 20;
+  size_t shm_capacity_ = kExecutorRingBytes;
   std::unique_ptr<ExecutorPool> pool_;
 };
 
 /// UdfManager factory for `UdfLanguage::kNativeIsolated`.
-UdfManager::RunnerFactory MakeIsolatedRunnerFactory(
-    size_t shm_capacity = 1 << 20, size_t pool_size = 1);
+UdfManager::RunnerFactory MakeIsolatedRunnerFactory(size_t pool_size = 1);
 
 /// Design 4 ("IJNI"): a JJava UDF inside a JagVM hosted by a separate
 /// executor process — Table 1's fourth cell, which the paper only
@@ -104,8 +108,7 @@ UdfManager::RunnerFactory MakeIsolatedRunnerFactory(
 class IsolatedJvmRunner : public UdfRunner {
  public:
   static Result<std::unique_ptr<IsolatedJvmRunner>> Spawn(
-      const UdfInfo& info, jvm::ResourceLimits limits,
-      size_t shm_capacity = 1 << 20, size_t pool_size = 1);
+      const UdfInfo& info, jvm::ResourceLimits limits, size_t pool_size = 1);
 
   std::string design_label() const override { return "IJNI"; }
 
@@ -131,7 +134,6 @@ class IsolatedJvmRunner : public UdfRunner {
 
   TypeId return_type_ = TypeId::kInt;
   std::vector<TypeId> arg_types_;
-  size_t shm_capacity_ = 1 << 20;
   /// Captured by the pool's spawn function: every executor child inherits
   /// the same pre-loaded VM state at fork.
   ipc::RemoteExecutor::RequestHandler handler_;
@@ -140,8 +142,7 @@ class IsolatedJvmRunner : public UdfRunner {
 
 /// UdfManager factory for `UdfLanguage::kJJavaIsolated`.
 UdfManager::RunnerFactory MakeIsolatedJvmRunnerFactory(
-    jvm::ResourceLimits limits, size_t shm_capacity = 1 << 20,
-    size_t pool_size = 1);
+    jvm::ResourceLimits limits, size_t pool_size = 1);
 
 }  // namespace jaguar
 

@@ -45,12 +45,6 @@ Status QuarantineTracker::CheckAllowed(const std::string& name) {
       " consecutive timeouts/crashes; re-register it to re-enable");
 }
 
-bool QuarantineTracker::IsQuarantined(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(ToLower(name));
-  return it != entries_.end() && it->second.quarantined;
-}
-
 void QuarantineTracker::Reset(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   entries_.erase(ToLower(name));

@@ -41,8 +41,6 @@ class QuarantineTracker {
   /// Bumps `udf.quarantine.rejections` when rejecting.
   Status CheckAllowed(const std::string& name);
 
-  bool IsQuarantined(const std::string& name);
-
   /// Clears any strikes/quarantine for `name` — called when the UDF is
   /// re-registered or dropped.
   void Reset(const std::string& name);

@@ -60,13 +60,6 @@ Result<const NativeUdfEntry*> NativeUdfRegistry::Lookup(
   return &it->second;
 }
 
-std::vector<std::string> NativeUdfRegistry::List() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) names.push_back(entry.name);
-  return names;
-}
-
 Status CheckUdfArgs(const std::string& name,
                     const std::vector<TypeId>& arg_types,
                     const std::vector<Value>& args) {

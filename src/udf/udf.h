@@ -104,7 +104,6 @@ class NativeUdfRegistry {
 
   Status Register(NativeUdfEntry entry);
   Result<const NativeUdfEntry*> Lookup(const std::string& name) const;
-  std::vector<std::string> List() const;
 
  private:
   std::map<std::string, NativeUdfEntry> entries_;

@@ -202,11 +202,6 @@ uint64_t LogManager::LogBytes() const {
   return write_off_ + pending_.size() - kHeaderSize;
 }
 
-Lsn LogManager::NextLsn() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return base_lsn_ + (write_off_ + pending_.size() - kHeaderSize);
-}
-
 Status LogManager::Checkpoint(uint32_t num_pages) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!is_open()) return Internal("log manager not open");

@@ -47,17 +47,16 @@
 
 namespace jaguar::wal {
 
-/// Knobs threaded down from DatabaseOptions.
+/// `StorageEngine::WalCommit` checkpoints once the log grows past this many
+/// bytes.
+constexpr uint64_t kCheckpointBytes = 8ull << 20;
+
+/// The log's one knob, set from `DatabaseOptions::wal_fsync`.
 struct WalOptions {
-  /// When false the engine runs without a log (legacy behavior); recovery
-  /// and crash safety are off.
-  bool enabled = true;
   /// fsync the log on every Commit(). Turning this off keeps the WAL rule
   /// (ordering) but trades durability of the last few statements for speed —
   /// useful for benchmarks.
   bool fsync_on_commit = true;
-  /// Auto-checkpoint once the log grows past this many bytes.
-  uint64_t checkpoint_bytes = 8ull << 20;
 };
 
 /// What redo did on open; exported as wal.recovery.* counters too.
@@ -110,10 +109,10 @@ class LogManager {
   /// WAL rule hook: guarantees every record with LSN <= `lsn` is durable
   /// before returning. No-op for kNullLsn or already-durable LSNs.
   /// Internally synchronized: the buffer pool calls this off its shard
-  /// latches — from foreground eviction write-backs, the background writer
-  /// and the readahead worker's evictions — concurrently with appends on
-  /// the query thread. After a checkpoint truncates the log, a stale page
-  /// LSN is simply already-durable, so late write-backs remain no-ops.
+  /// latches — from foreground eviction write-backs and the readahead
+  /// worker's evictions — concurrently with appends on the query thread.
+  /// After a checkpoint truncates the log, a stale page LSN is simply
+  /// already-durable, so late write-backs remain no-ops.
   Status EnsureDurable(Lsn lsn);
 
   /// Makes everything appended so far durable. One fsync covers all pending
@@ -125,9 +124,6 @@ class LogManager {
   /// drives auto-checkpointing.
   uint64_t LogBytes() const;
 
-  /// LSN the next Append() will assign.
-  Lsn NextLsn() const;
-
   /// Atomically replaces the log with a fresh one whose base LSN continues
   /// the sequence, containing a single kCheckpoint record. The caller must
   /// have flushed all dirty pages and synced the data file first.
@@ -138,8 +134,6 @@ class LogManager {
   /// page's footer LSN onto `device`, extending the file as needed, then
   /// syncs it. Stops cleanly at the first torn/corrupt frame.
   Status Recover(PageDevice* device, RecoveryStats* stats);
-
-  const WalOptions& options() const { return options_; }
 
  private:
   Status WriteHeader(int fd, Lsn base_lsn);

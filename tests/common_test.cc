@@ -172,7 +172,6 @@ TEST(StringUtilTest, SplitTrimJoin) {
             (std::vector<std::string>{"a", "b", "", "c"}));
   EXPECT_EQ(Trim("  x y \t\n"), "x y");
   EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_TRUE(StartsWith("foobar", "foo"));
   EXPECT_TRUE(EndsWith("foobar", "bar"));
   EXPECT_FALSE(StartsWith("fo", "foo"));

@@ -554,14 +554,11 @@ TEST_F(DesignsTest, BatchedExecutionMatchesScalarAndHalvesCrossings) {
 }
 
 TEST_F(DesignsTest, JitToggleChangesNothingSemantically) {
-  db_.reset();
-  db_file_.Remove();
-  options_.udf_jit = false;
-  db_ = Database::Open(path_, options_).value();
-  MustExecute("CREATE TABLE r (b BYTEARRAY)");
-  MustExecute("INSERT INTO r VALUES (randbytes(200, 9))");
+  db_->vm()->set_jit_enabled(false);
+  MustExecute("CREATE TABLE j (b BYTEARRAY)");
+  MustExecute("INSERT INTO j VALUES (randbytes(200, 9))");
   RegisterGeneric("g_jni", UdfLanguage::kJJava);
-  QueryResult r = MustExecute("SELECT g_jni(b, 25, 2, 3) FROM r");
+  QueryResult r = MustExecute("SELECT g_jni(b, 25, 2, 3) FROM j");
   EXPECT_EQ(r.rows[0].value(0).AsInt(),
             GenericUdfExpected(Random(9).Bytes(200), 25, 2, 3));
   EXPECT_EQ(db_->vm()->stats().methods_jitted, 0u);

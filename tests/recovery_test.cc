@@ -229,21 +229,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Eviction / background-writer crash matrix: the same storage.* crash points,
-// but fired from the buffer pool's *off-latch* write-back paths instead of a
-// checkpoint's FlushAll. A four-page pool forces dirty evictions on nearly
-// every phase-B insert, and the background writer races them, so the process
-// dies inside WritePage called from an eviction or a background flush — after
-// the WAL-rule fsync, before (or halfway through) the page image landing.
-// Recovery must still produce a committed state: the fsync-before-write
-// ordering is what makes that true off-latch.
+// Eviction crash matrix: the same storage.* crash points, but fired from the
+// buffer pool's *off-latch* eviction write-back instead of a checkpoint's
+// FlushAll. A four-page pool forces dirty evictions on nearly every phase-B
+// insert, so the process dies inside WritePage called from an eviction —
+// after the WAL-rule fsync, before (or halfway through) the page image
+// landing. Recovery must still produce a committed state: the
+// fsync-before-write ordering is what makes that true off-latch.
 // ---------------------------------------------------------------------------
 
 [[noreturn]] void RunEvictionCrashWorkload(const std::string& path,
                                            const std::string& point) {
   DatabaseOptions options;
   options.buffer_pool_pages = 4;  // evictions on nearly every statement
-  options.bg_writer = true;
   auto opened = Database::Open(path, options);
   if (!opened.ok()) ::_exit(3);
   std::unique_ptr<Database> db = std::move(opened).value();
@@ -256,7 +254,7 @@ INSTANTIATE_TEST_SUITE_P(
 
   // Phase B: the overflow-sized rows (RowValue makes every third ~9 KB)
   // churn far more pages than the pool holds, so the armed point fires from
-  // a mid-statement eviction or a background write-back, never a Flush.
+  // a mid-statement eviction, never a Flush.
   wal::CrashPoints::Arm(point);
   for (int k = kPhaseARows; k < kPhaseARows + kPhaseBRows; ++k) {
     if (!InsertRow(db.get(), k)) ::_exit(7);
@@ -606,27 +604,6 @@ TEST(RecoveryTest, StaleWalBesideAFreshDbIsDiscarded) {
   // The stale records must not be replayed into the fresh file.
   EXPECT_EQ(engine->recovery_stats().pages_replayed, 0u);
   EXPECT_EQ(engine->GetCatalogRoot().value(), kInvalidPageId);
-  ASSERT_TRUE(engine->Close().ok());
-}
-
-TEST(RecoveryTest, WalDisabledRunsWithoutALogFile) {
-  TempDb db("nowal");
-  wal::WalOptions options;
-  options.enabled = false;
-  PageId root = kInvalidPageId;
-  {
-    auto engine = StorageEngine::Open(db.path(), 256, options).value();
-    EXPECT_EQ(engine->wal(), nullptr);
-    root = TableHeap::Create(engine.get()).value();
-    TableHeap heap(engine.get(), root);
-    ASSERT_TRUE(heap.Insert(Slice(RecordBytes(0))).ok());
-    ASSERT_TRUE(engine->Close().ok());
-  }
-  EXPECT_FALSE(std::filesystem::exists(db.wal_path()));
-  // Cleanly closed: everything is on disk even without a log.
-  auto engine = StorageEngine::Open(db.path(), 256, options).value();
-  TableHeap heap(engine.get(), root);
-  EXPECT_EQ(heap.CountRecords().value(), 1u);
   ASSERT_TRUE(engine->Close().ok());
 }
 

@@ -1007,8 +1007,8 @@ TEST_F(DeadlineTest, InterpreterStopsInProcessJJavaAtDeadline) {
   // a millisecond of expiry with DeadlineExceeded even though no instruction
   // budget is configured.
   options_.query_timeout_ms = 200;
-  options_.udf_jit = false;
   Open();
+  db_->vm()->set_jit_enabled(false);
   RegisterJJavaSpin("spin3", UdfLanguage::kJJava);
 
   auto start = std::chrono::steady_clock::now();
@@ -1025,8 +1025,8 @@ TEST_F(DeadlineTest, JitBudgetProbeStopsInProcessJJavaAtDeadline) {
   // instructions-per-ms probe, so the loop traps on the budget check and the
   // trap is attributed to the (by then expired) deadline.
   options_.query_timeout_ms = 100;
-  options_.udf_jit = true;
   Open();
+  db_->vm()->set_jit_enabled(true);
   RegisterJJavaSpin("spinjit", UdfLanguage::kJJava);
 
   Result<QueryResult> dead = db_->Execute("SELECT spinjit(a) FROM t");

@@ -570,8 +570,8 @@ TEST(BufferPoolTest, FlushAllDoesNotBlockFetchesDuringWriteBack) {
   EXPECT_EQ(check[0], 7);
 }
 
-// Multi-threaded fetch/evict/discard stress with the readahead worker and
-// background writer running; meant for the TSan CI job. Each thread owns
+// Multi-threaded fetch/evict/discard stress with the readahead worker
+// running; meant for the TSan CI job. Each thread owns
 // the pages whose id is congruent to its index (only owners mutate or
 // discard), everyone reads everything.
 TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
@@ -586,11 +586,6 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
   BufferPoolConfig config;
   config.workers_hint = kThreads;
   config.readahead_pages = 4;
-  config.bg_writer = true;
-  config.bg_writer_interval_ms = 1;
-  // Small batches: frames under background write-back are briefly
-  // unavailable, and a 16-frame pool can't spare eight at once.
-  config.bg_writer_batch = 2;
   // Capacity is deliberately far below kPages so fetches constantly evict,
   // but above kThreads * 2 so concurrent transfers can't exhaust the pool.
   BufferPool pool(&dm, 16, nullptr, config);

@@ -2,7 +2,8 @@
 //
 // Usage:
 //   jaguar_shell <db-path>                 interactive REPL on an embedded db
-//   jaguar_shell <db-path> -c "<sql>"      run one statement and exit
+//   jaguar_shell <db-path> -c "<sql>"      run one statement and exit (exit
+//                                          status 1 if the statement failed)
 //   jaguar_shell --connect <host> <port>   REPL against a running server
 //
 // Meta-commands: \tables  \udfs  \quit
@@ -20,10 +21,12 @@ using namespace jaguar;
 
 namespace {
 
-int RunStatement(const std::function<Result<QueryResult>(const std::string&)>&
-                     execute,
-                 Database* db, const std::string& line) {
-  if (line == "\\quit" || line == "\\q") return 1;
+enum class Outcome { kOk, kFailed, kQuit };
+
+Outcome RunStatement(
+    const std::function<Result<QueryResult>(const std::string&)>& execute,
+    Database* db, const std::string& line) {
+  if (line == "\\quit" || line == "\\q") return Outcome::kQuit;
   if (line == "\\tables") {
     if (db != nullptr) {
       for (const std::string& name : db->catalog()->ListTables()) {
@@ -32,7 +35,7 @@ int RunStatement(const std::function<Result<QueryResult>(const std::string&)>&
     } else {
       std::printf("\\tables requires an embedded database\n");
     }
-    return 0;
+    return Outcome::kOk;
   }
   if (line == "\\udfs") {
     if (db != nullptr) {
@@ -44,16 +47,16 @@ int RunStatement(const std::function<Result<QueryResult>(const std::string&)>&
     } else {
       std::printf("\\udfs requires an embedded database\n");
     }
-    return 0;
+    return Outcome::kOk;
   }
   Result<QueryResult> r = execute(line);
   if (!r.ok()) {
     std::printf("error: %s\n", r.status().ToString().c_str());
-    return 0;
+    return Outcome::kFailed;
   }
   std::printf("%s", r->ToPrettyString().c_str());
   if (r->schema.num_columns() == 0) std::printf("\n");
-  return 0;
+  return Outcome::kOk;
 }
 
 }  // namespace
@@ -95,7 +98,7 @@ int main(int argc, char** argv) {
   }
 
   if (argc >= 4 && std::strcmp(argv[2], "-c") == 0) {
-    return RunStatement(execute, db.get(), argv[3]) == 1 ? 0 : 0;
+    return RunStatement(execute, db.get(), argv[3]) == Outcome::kFailed ? 1 : 0;
   }
 
   std::printf("jaguar shell — \\tables, \\udfs, \\quit\n");
@@ -106,7 +109,7 @@ int main(int argc, char** argv) {
     if (!std::getline(std::cin, line)) break;
     line = Trim(line);
     if (line.empty()) continue;
-    if (RunStatement(execute, db.get(), line) == 1) break;
+    if (RunStatement(execute, db.get(), line) == Outcome::kQuit) break;
   }
   return 0;
 }
