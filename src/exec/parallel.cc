@@ -130,7 +130,8 @@ Result<MorselPlan> PlanMorsels(StorageEngine* engine, PageId first_page,
   plan.num_morsels = (plan.pages.size() + kMorselPages - 1) / kMorselPages;
   // Every worker's cursor may pin kMaxPins frames at once and the pool
   // returns ResourceExhausted rather than wait for a frame, so run no more
-  // workers than the pool can pin for, keeping one frame for readahead.
+  // workers than the pool can pin for, keeping one frame spare for a fetch
+  // outside the cursors (a UDF callback's, say).
   const size_t capacity = engine->buffer_pool()->capacity();
   const size_t pinnable =
       capacity > 0 ? (capacity - 1) / TableHeap::Iterator::kMaxPins : 0;

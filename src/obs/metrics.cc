@@ -1,7 +1,9 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
+#include <cmath>
 #include <limits>
 
 #include "common/clock.h"
@@ -45,9 +47,12 @@ uint64_t Histogram::ValueAtPercentile(double p) const {
   if (p > 100) p = 100;
   uint64_t total = count();
   if (total == 0) return 0;
-  // Rank of the requested sample, 1-based; p=0 maps to the first sample.
-  uint64_t rank = static_cast<uint64_t>(p / 100.0 * total);
-  if (rank == 0) rank = 1;
+  // Nearest rank, 1-based: ceil(p% of the samples), so p99 of ten samples
+  // is the tenth; p=0 maps to the first. Multiplying before dividing keeps
+  // an exact rank (p=7 of 100 samples) from rounding up past itself.
+  const uint64_t rank = std::clamp<uint64_t>(
+      static_cast<uint64_t>(std::ceil(p * static_cast<double>(total) / 100.0)),
+      1, total);
   uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);

@@ -23,10 +23,6 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-/// Readahead hint queue cap: beyond this, hints are dropped rather than
-/// letting a huge scan queue prefetches it will outrun anyway.
-constexpr size_t kReadaheadQueueCap = 256;
-
 }  // namespace
 
 void PageGuard::MarkDirty() {
@@ -35,7 +31,7 @@ void PageGuard::MarkDirty() {
 
 void PageGuard::Release() {
   if (pool_ != nullptr) {
-    pool_->Unpin(frame_, id_, /*dirty=*/false);
+    pool_->Unpin(frame_, id_);
     pool_ = nullptr;
     data_ = nullptr;
   }
@@ -43,7 +39,7 @@ void PageGuard::Release() {
 
 BufferPool::BufferPool(DiskManager* disk, size_t capacity,
                        wal::LogManager* wal, const BufferPoolConfig& config)
-    : disk_(disk), wal_(wal), capacity_(capacity), config_(config) {
+    : disk_(disk), wal_(wal), capacity_(capacity) {
   JAGUAR_CHECK(capacity > 0);
   size_t want = config.shards != 0
                     ? config.shards
@@ -62,29 +58,15 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
     frames_[i].data = std::make_unique<uint8_t[]>(kPageSize);
     free_frames_.push_back(capacity - 1 - i);
   }
-
-  if (config_.readahead_pages > 0) {
-    ra_thread_ = std::thread([this] { ReadaheadLoop(); });
-  }
 }
 
 BufferPool::~BufferPool() {
-  StopWorkers();
   Status s = FlushAll();
   if (!s.ok()) {
     JAGUAR_LOG(kWarning) << "buffer pool shutdown flush failed, dirty pages "
                             "may be lost: "
                          << s.ToString();
   }
-}
-
-void BufferPool::StopWorkers() {
-  {
-    std::lock_guard<std::mutex> lk(ra_mutex_);
-    stop_threads_ = true;
-  }
-  ra_cv_.notify_all();
-  if (ra_thread_.joinable()) ra_thread_.join();
 }
 
 void BufferPool::CountIoWait() {
@@ -104,28 +86,6 @@ std::unique_lock<std::mutex> BufferPool::LockShard(Shard& s) {
   return lk;
 }
 
-void BufferPool::ClockPush(Shard& s, size_t frame) {
-  Frame& f = frames_[frame];
-  const uint64_t epoch =
-      f.clock_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-  s.clock.push_back(ClockEntry{frame, epoch});
-  // Every push bumps the epoch, so at most one entry per resident frame is
-  // live; the rest are stale tombstones the sweep skips lazily. Eviction is
-  // the only other place that pops them, and a working set that fits in the
-  // pool never evicts — each pin/unpin cycle would leak one entry forever.
-  // Compact here once stale entries outnumber live ones; the ring shrinks to
-  // <= table.size(), so the O(n) sweep amortizes to O(1) per push.
-  if (s.clock.size() > 16 && s.clock.size() > 2 * s.table.size()) {
-    s.clock.erase(std::remove_if(s.clock.begin(), s.clock.end(),
-                                 [this](const ClockEntry& e) {
-                                   return frames_[e.frame].clock_epoch.load(
-                                              std::memory_order_relaxed) !=
-                                          e.epoch;
-                                 }),
-                  s.clock.end());
-  }
-}
-
 Status BufferPool::WriteBackFrame(Frame& frame) {
   if (wal_ != nullptr) {
     // WAL rule: the record that produced this page image must be durable
@@ -136,7 +96,8 @@ Status BufferPool::WriteBackFrame(Frame& frame) {
   // The dirty bit is the caller's to clear, under the shard latch: clearing
   // it here (off-latch) could clobber a concurrent MarkDirty from a pin
   // holder and silently drop that mutation from every future flush.
-  return disk_->WritePage(frame.id, frame.data.get());
+  return disk_->WritePage(frame.id.load(std::memory_order_relaxed),
+                          frame.data.get());
 }
 
 void BufferPool::ReturnFreeFrame(size_t frame) {
@@ -144,90 +105,71 @@ void BufferPool::ReturnFreeFrame(size_t frame) {
   free_frames_.push_back(frame);
 }
 
-Result<size_t> BufferPool::EvictFromShard(Shard& s) {
+Result<bool> BufferPool::TryEvict(size_t frame) {
+  Frame& f = frames_[frame];
+  const PageId id = f.id.load(std::memory_order_relaxed);
+  if (id == kInvalidPageId) return false;  // free, or being loaded
+  Shard& s = ShardOf(id);
   auto lk = LockShard(s);
-  // Two passes over the initial ring: every resident candidate gets at most
-  // one second chance before the sweep gives up on this shard.
-  size_t budget = s.clock.size() * 2;
-  while (budget-- > 0 && !s.clock.empty()) {
-    ClockEntry e = s.clock.front();
-    s.clock.pop_front();
-    Frame& f = frames_[e.frame];
-    // Stale entry: the frame was pinned, transferred or re-enqueued since.
-    if (f.clock_epoch.load(std::memory_order_relaxed) != e.epoch) continue;
-    if (f.pin_count.load(std::memory_order_relaxed) > 0 ||
-        f.state != FrameState::kIdle) {
-      continue;
-    }
-    if (f.ref) {
-      f.ref = false;
-      s.clock.push_back(e);  // second chance; epoch unchanged, still valid
-      continue;
-    }
-    // Victim found. Invalidate any other ring entries and unmap it before
-    // dropping the latch; fetchers of the victim page wait on the in-flight
-    // table until the write-back lands, then re-read from disk.
-    f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
-    const PageId victim = f.id;
-    s.table.erase(victim);
-    static obs::Counter* evictions = PoolCounter("evictions");
-    if (!f.dirty) {
-      f.id = kInvalidPageId;
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      evictions->Add();
-      return e.frame;
-    }
-    s.io.insert(victim);
+  // The frame may have moved on since `id` was read; only the shard's table
+  // says what it holds now.
+  auto it = s.table.find(id);
+  if (it == s.table.end() || it->second != frame ||
+      f.pin_count.load(std::memory_order_relaxed) > 0 ||
+      f.state != FrameState::kIdle) {
+    return false;
+  }
+  if (f.ref) {
+    f.ref = false;  // second chance
+    return false;
+  }
+  // Victim found. Unmap it before dropping the latch; fetchers of the victim
+  // page wait on the in-flight table until the write-back lands, then
+  // re-read from disk.
+  s.table.erase(it);
+  if (f.dirty) {
+    s.io.insert(id);
     ++s.inflight_writes;
     lk.unlock();
     Status ws = WriteBackFrame(f);
     lk.lock();
     --s.inflight_writes;
-    s.io.erase(victim);
+    s.io.erase(id);
+    s.cv.notify_all();
     if (!ws.ok()) {
       // Write-back failed: re-link the victim so its (still dirty) image
       // stays reachable instead of leaking an unreachable frame.
-      s.table[victim] = e.frame;
+      s.table[id] = frame;
       f.ref = true;
-      ClockPush(s, e.frame);
-      s.cv.notify_all();
       return ws;
     }
     f.dirty = false;
-    f.id = kInvalidPageId;
-    // Count only now: a failed write-back above re-links the victim and
-    // reclaims nothing, so it must not inflate the eviction counter.
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    evictions->Add();
-    s.cv.notify_all();
-    return e.frame;
   }
-  return NotFound("no evictable frame in shard");
+  f.id.store(kInvalidPageId, std::memory_order_relaxed);
+  // Count only now: a failed write-back above re-links the victim and
+  // reclaims nothing, so it must not inflate the eviction counter.
+  evictions_.fetch_add(1, std::memory_order_relaxed);
+  static obs::Counter* evictions = PoolCounter("evictions");
+  evictions->Add();
+  return true;
 }
 
-Result<size_t> BufferPool::AcquireFrame(Shard* home) {
-  const size_t start = static_cast<size_t>(home - shards_.get());
-  // A concurrent unpin or completed transfer can free a frame between
-  // passes, so try the free list + a full sweep a few times before
-  // declaring the pool exhausted. With every frame genuinely pinned all
-  // passes fail deterministically.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lk(free_mutex_);
-      if (!free_frames_.empty()) {
-        size_t f = free_frames_.back();
-        free_frames_.pop_back();
-        return f;
-      }
+Result<size_t> BufferPool::AcquireFrame() {
+  {
+    std::lock_guard<std::mutex> lk(free_mutex_);
+    if (!free_frames_.empty()) {
+      size_t f = free_frames_.back();
+      free_frames_.pop_back();
+      return f;
     }
-    // Sweep the home shard first (keeps scans evicting their own cold
-    // pages), then steal from neighbors — one latch at a time, never two.
-    for (size_t i = 0; i < shards_count_; ++i) {
-      Shard& s = shards_[(start + i) & shard_mask_];
-      Result<size_t> r = EvictFromShard(s);
-      if (r.ok()) return r;
-      if (!r.status().IsNotFound()) return r;  // failed dirty write-back
-    }
+  }
+  // Two turns' worth of steps: alone, the hand clears every `ref` bit in the
+  // first and finds a victim in the second if any frame is unpinned.
+  for (size_t step = 0; step < 2 * capacity_; ++step) {
+    const size_t frame =
+        hand_.fetch_add(1, std::memory_order_relaxed) % capacity_;
+    JAGUAR_ASSIGN_OR_RETURN(bool evicted, TryEvict(frame));
+    if (evicted) return frame;
   }
   return ResourceExhausted("buffer pool exhausted: all frames pinned");
 }
@@ -253,16 +195,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       static obs::Counter* hits = PoolCounter("hits");
       hits->Add();
-      if (f.prefetched) {
-        f.prefetched = false;
-        readahead_hits_.fetch_add(1, std::memory_order_relaxed);
-        static obs::Counter* ra_hits = PoolCounter("readahead.hits");
-        ra_hits->Add();
-      }
       f.ref = true;
-      if (f.pin_count.load(std::memory_order_relaxed) == 0) {
-        f.clock_epoch.fetch_add(1, std::memory_order_relaxed);  // leaving the replacement pool while pinned
-      }
       f.pin_count.fetch_add(1, std::memory_order_relaxed);
       return PageGuard(this, it->second, id, f.data.get());
     }
@@ -282,7 +215,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
   s.io.insert(id);
   lk.unlock();
 
-  Result<size_t> fr = AcquireFrame(&s);
+  Result<size_t> fr = AcquireFrame();
   if (!fr.ok()) {
     lk.lock();
     s.io.erase(id);
@@ -300,12 +233,10 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
     ReturnFreeFrame(*fr);
     return rs;
   }
-  f.id = id;
+  f.id.store(id, std::memory_order_relaxed);
   f.dirty = false;
   f.ref = true;
-  f.prefetched = false;
   f.state = FrameState::kIdle;
-  f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
   f.pin_count.store(1, std::memory_order_relaxed);
   s.table[id] = *fr;
   s.cv.notify_all();
@@ -313,34 +244,36 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
 }
 
 Result<PageGuard> BufferPool::NewPage() {
+  // Frame first: allocating grows the file, and a refused call must not
+  // leave a page behind that nothing references and no log record covers.
+  JAGUAR_ASSIGN_OR_RETURN(size_t fidx, AcquireFrame());
+  Result<PageId> allocated = disk_->AllocatePage();
+  if (!allocated.ok()) {
+    ReturnFreeFrame(fidx);
+    return allocated.status();
+  }
   // A freshly allocated page id cannot be cached or in flight anywhere, so
   // no coalescing bookkeeping is needed before publishing it.
-  JAGUAR_ASSIGN_OR_RETURN(PageId id, disk_->AllocatePage());
+  const PageId id = *allocated;
   Shard& s = ShardOf(id);
-  JAGUAR_ASSIGN_OR_RETURN(size_t fidx, AcquireFrame(&s));
   Frame& f = frames_[fidx];
   std::memset(f.data.get(), 0, kPageSize);
   auto lk = LockShard(s);
-  f.id = id;
+  f.id.store(id, std::memory_order_relaxed);
   f.dirty = true;
   f.ref = true;
-  f.prefetched = false;
   f.state = FrameState::kIdle;
-  f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
   f.pin_count.store(1, std::memory_order_relaxed);
   s.table[id] = fidx;
   return PageGuard(this, fidx, id, f.data.get());
 }
 
-void BufferPool::Unpin(size_t frame, PageId id, bool dirty) {
+void BufferPool::Unpin(size_t frame, PageId id) {
   Shard& s = ShardOf(id);
   auto lk = LockShard(s);
   Frame& f = frames_[frame];
   JAGUAR_CHECK(f.pin_count.load(std::memory_order_relaxed) > 0);
-  if (dirty) f.dirty = true;
-  if (f.pin_count.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    ClockPush(s, frame);  // back into the replacement pool, warm (ref set)
-  }
+  f.pin_count.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void BufferPool::MarkFrameDirty(size_t frame, PageId id) {
@@ -378,7 +311,6 @@ Status BufferPool::FlushAll() {
           // so a mutation the write may have missed is flushed next time
           // instead of being lost to an off-latch dirty=false.
           f.dirty = false;
-          f.clock_epoch.fetch_add(1, std::memory_order_relaxed);
           s.io.insert(id);
           batch.push_back(fidx);
         }
@@ -393,8 +325,7 @@ Status BufferPool::FlushAll() {
       auto lk = LockShard(s);
       if (!wrote || !ws.ok()) f.dirty = true;  // image did not reach disk
       f.state = FrameState::kIdle;
-      s.io.erase(f.id);
-      ClockPush(s, fidx);
+      s.io.erase(f.id.load(std::memory_order_relaxed));
       s.cv.notify_all();
       if (!ws.ok()) result = ws;
     }
@@ -404,17 +335,6 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::Discard(PageId id) {
-  if (config_.readahead_pages > 0) {
-    // Purge queued readahead hints for this page and drain an in-flight
-    // prefetch of it: a stale hint processed after we return would reload
-    // the old on-disk image of a page whose newer dirty copy this discard
-    // deliberately dropped. Done before taking the shard latch — the worker
-    // needs that latch to finish the prefetch we may be waiting out.
-    std::unique_lock<std::mutex> rlk(ra_mutex_);
-    ra_queue_.erase(std::remove(ra_queue_.begin(), ra_queue_.end(), id),
-                    ra_queue_.end());
-    ra_cv_.wait(rlk, [this, id] { return ra_active_ != id; });
-  }
   Shard& s = ShardOf(id);
   auto lk = LockShard(s);
   for (;;) {
@@ -433,98 +353,13 @@ Status BufferPool::Discard(PageId id) {
       return Internal(StringPrintf("discard of pinned page %u", id));
     }
     const size_t fidx = it->second;
-    f.clock_epoch.fetch_add(1, std::memory_order_relaxed);  // invalidate ring entries
-    f.id = kInvalidPageId;
+    f.id.store(kInvalidPageId, std::memory_order_relaxed);
     f.dirty = false;
-    f.prefetched = false;
     s.table.erase(it);
     lk.unlock();
     ReturnFreeFrame(fidx);
     return Status::OK();
   }
-}
-
-void BufferPool::Prefetch(const PageId* ids, size_t count) {
-  if (config_.readahead_pages == 0 || count == 0) return;
-  {
-    std::lock_guard<std::mutex> lk(ra_mutex_);
-    for (size_t i = 0; i < count; ++i) {
-      if (ids[i] == kInvalidPageId) continue;
-      if (ra_queue_.size() >= kReadaheadQueueCap) break;
-      ra_queue_.push_back(ids[i]);
-    }
-  }
-  // notify_all: Discard also waits on this condvar, so a notify_one could
-  // wake it instead of the readahead worker.
-  ra_cv_.notify_all();
-}
-
-void BufferPool::ReadaheadOne(PageId id) {
-  Shard& s = ShardOf(id);
-  {
-    auto lk = LockShard(s);
-    // Already resident or someone is loading it: the hint did its job.
-    if (s.table.count(id) != 0 || s.io.count(id) != 0) return;
-    s.io.insert(id);
-  }
-  Result<size_t> fr = AcquireFrame(&s);
-  Status rs = fr.ok() ? disk_->ReadPage(id, frames_[*fr].data.get())
-                      : fr.status();
-  auto lk = LockShard(s);
-  s.io.erase(id);
-  if (!rs.ok()) {
-    // Best-effort: drop the hint. The foreground fetch will redo the read
-    // (and surface the error if it is real).
-    s.cv.notify_all();
-    lk.unlock();
-    if (fr.ok()) ReturnFreeFrame(*fr);
-    return;
-  }
-  Frame& f = frames_[*fr];
-  f.id = id;
-  f.dirty = false;
-  f.ref = false;  // cold: one big scan cannot wipe the warm working set
-  f.prefetched = true;
-  f.state = FrameState::kIdle;
-  f.pin_count.store(0, std::memory_order_relaxed);
-  s.table[id] = *fr;
-  ClockPush(s, *fr);
-  readahead_issued_.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter* issued = PoolCounter("readahead.issued");
-  issued->Add();
-  s.cv.notify_all();
-}
-
-void BufferPool::ReadaheadLoop() {
-  for (;;) {
-    PageId id;
-    {
-      std::unique_lock<std::mutex> lk(ra_mutex_);
-      ra_cv_.wait(lk, [this] { return stop_threads_ || !ra_queue_.empty(); });
-      if (stop_threads_) return;  // pending hints are only hints; drop them
-      id = ra_queue_.front();
-      ra_queue_.pop_front();
-      // Claimed under ra_mutex_ so Discard can always see a hint for its
-      // page: either still queued (purged there) or active (drained here).
-      ra_active_ = id;
-    }
-    ReadaheadOne(id);
-    {
-      std::lock_guard<std::mutex> lk(ra_mutex_);
-      ra_active_ = kInvalidPageId;
-    }
-    ra_cv_.notify_all();
-  }
-}
-
-size_t BufferPool::clock_entries() const {
-  size_t n = 0;
-  for (size_t i = 0; i < shards_count_; ++i) {
-    Shard& s = shards_[i];
-    std::lock_guard<std::mutex> lk(s.latch);
-    n += s.clock.size();
-  }
-  return n;
 }
 
 size_t BufferPool::pinned_frames() const {

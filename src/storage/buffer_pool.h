@@ -2,8 +2,8 @@
 #define JAGUAR_STORAGE_BUFFER_POOL_H_
 
 /// \file buffer_pool.h
-/// A sharded, I/O-decoupled page cache with clock-sweep (second-chance)
-/// replacement and sequential-scan readahead.
+/// A sharded, I/O-decoupled page cache with one clock hand (second-chance
+/// replacement) over its frames. It starts no thread.
 ///
 /// Callers obtain pages through RAII `PageGuard`s: a guard pins its frame for
 /// its lifetime, so forgetting to unpin is impossible by construction. Dirty
@@ -12,12 +12,18 @@
 /// Layout: pages are partitioned across `N` shards by
 /// `page_id & (N - 1)` (N is a power of two, by default
 /// `next_pow2(min(16, workers_hint * 2))`). Each shard owns its own latch,
-/// page table, in-flight I/O table and clock ring. Frames themselves float:
-/// a frame belongs to whichever shard maps the page it currently holds, and
-/// empty frames sit on one global free list, so capacity is shared and a
-/// skewed page distribution cannot strand frames in an idle shard. A shard
-/// whose clock has no victim steals one from a neighbor — never holding two
-/// shard latches at once.
+/// page table and in-flight I/O table. Frames themselves float: a frame
+/// belongs to whichever shard maps the page it currently holds, and empty
+/// frames sit on one global free list, so capacity is shared and a skewed
+/// page distribution cannot strand frames in an idle shard.
+///
+/// Replacement: one clock hand walks the frame array. At each frame it reads
+/// the page id, takes that page's shard latch (never two at once), and
+/// considers the frame only if the shard still maps the page to it and the
+/// frame is unpinned and not being flushed. A set `ref` bit is cleared and
+/// buys the frame a second chance; a clear one makes it the victim. Two full
+/// turns without a victim mean every frame is pinned: ResourceExhausted. A
+/// hit only sets `ref`, and an unpin only drops the pin count.
 ///
 /// I/O happens **off the shard latch**:
 ///  * A miss registers the page in the shard's in-flight table, drops the
@@ -28,14 +34,8 @@
 ///    the latch, and only then runs the WAL-rule fsync (`EnsureDurable`) and
 ///    the page write. Fetchers of the in-flight victim wait for the write,
 ///    then re-read from disk. If the write-back fails the victim is
-///    re-linked into its shard (page table + clock) so the dirty image is
-///    never stranded in an unreachable frame.
-///
-/// Replacement is clock-sweep with a second-chance `ref` bit. Pages loaded
-/// by the readahead worker enter the clock *cold* (`ref = 0`) and unpinned,
-/// so one large scan streams through a small fraction of the pool instead of
-/// wiping the working set; the first real fetch of a prefetched page counts
-/// as `storage.bufferpool.readahead.hits` and promotes it to warm.
+///    re-linked into its shard's page table so the dirty image is never
+///    stranded in an unreachable frame.
 ///
 /// `FlushAll` runs one at a time and drains in-flight eviction write-backs
 /// before returning, which keeps checkpoint log truncation safe.
@@ -47,10 +47,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -73,9 +71,6 @@ struct BufferPoolConfig {
   /// Expected number of concurrent fetching threads; drives the auto shard
   /// count.
   size_t workers_hint = 1;
-  /// Pages the readahead worker keeps in flight ahead of a sequential scan.
-  /// 0 disables readahead (no worker thread is started).
-  size_t readahead_pages = 8;
 };
 
 /// Pins one page frame for the guard's lifetime. Movable, not copyable.
@@ -136,23 +131,14 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Stops and joins the readahead worker (idempotent; the destructor calls
-  /// it too). The owner calls it before closing the file the worker reads.
-  void StopWorkers();
-
   /// Pins page `id`, reading it from disk on miss. Concurrent fetches of the
   /// same missing page coalesce into one disk read.
   Result<PageGuard> FetchPage(PageId id);
 
-  /// Allocates a fresh page on disk and pins it (contents zeroed).
+  /// Allocates a fresh page on disk and pins it (contents zeroed). The file
+  /// grows only once a frame is in hand, so a refused call leaves it as it
+  /// was.
   Result<PageGuard> NewPage();
-
-  /// Hints that `ids[0..count)` will be fetched soon (sequential-scan
-  /// readahead). Best-effort: already-cached pages, a full queue or a
-  /// disabled readahead worker silently drop the hint. Prefetched pages
-  /// enter the clock unpinned at cold priority.
-  void Prefetch(const PageId* ids, size_t count);
-  void Prefetch(PageId id) { Prefetch(&id, 1); }
 
   /// Writes back all dirty pages (pinned ones included), drains in-flight
   /// write-backs, and syncs. On return every prior mutation is in the data
@@ -170,8 +156,6 @@ class BufferPool {
 
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_count_; }
-  /// Readahead depth (0 = disabled); scan code sizes its hints with this.
-  size_t readahead_depth() const { return config_.readahead_pages; }
 
   // Relaxed-atomic statistics: reading them never touches a shard latch.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -188,18 +172,8 @@ class BufferPool {
   uint64_t shard_conflicts() const {
     return shard_conflicts_.load(std::memory_order_relaxed);
   }
-  uint64_t readahead_issued() const {
-    return readahead_issued_.load(std::memory_order_relaxed);
-  }
-  uint64_t readahead_hits() const {
-    return readahead_hits_.load(std::memory_order_relaxed);
-  }
   /// Number of currently pinned frames (for leak tests).
   size_t pinned_frames() const;
-  /// Total clock-ring entries across shards, live and stale (for tests:
-  /// the ring must stay O(resident frames) even on hit-only workloads that
-  /// never trigger eviction).
-  size_t clock_entries() const;
 
  private:
   friend class PageGuard;
@@ -213,27 +187,17 @@ class BufferPool {
   };
 
   struct Frame {
-    PageId id = kInvalidPageId;
+    /// Written under the owning shard's latch. Atomic so the clock hand can
+    /// read it before it knows which latch to take; the hand then trusts
+    /// only that shard's page table.
+    std::atomic<PageId> id{kInvalidPageId};
     /// Atomic only so `pinned_frames()` can read it latch-free; all
     /// transitions happen under the owning shard's latch.
     std::atomic<int> pin_count{0};
     bool dirty = false;
-    bool ref = false;         ///< clock second-chance bit
-    bool prefetched = false;  ///< set by readahead, cleared on first fetch
+    bool ref = false;  ///< clock second-chance bit
     FrameState state = FrameState::kIdle;
-    /// Monotonic validity stamp for clock entries: pinning or transferring
-    /// a frame bumps it, lazily invalidating stale ring entries. Atomic
-    /// (relaxed) because a stale entry in shard B's ring is compared under
-    /// B's latch while the frame — since migrated to shard A — bumps under
-    /// A's latch. The bump that invalidated a B entry always happened under
-    /// B's latch, so a valid match implies this shard still owns the frame.
-    std::atomic<uint64_t> clock_epoch{0};
     std::unique_ptr<uint8_t[]> data;
-  };
-
-  struct ClockEntry {
-    size_t frame;
-    uint64_t epoch;
   };
 
   struct Shard {
@@ -243,11 +207,6 @@ class BufferPool {
     std::unordered_map<PageId, size_t> table;  // page id -> frame index
     /// Pages with a disk read or write-back in flight; fetchers wait on cv.
     std::unordered_set<PageId> io;
-    /// Clock ring of (frame, epoch) candidates; entries whose epoch no
-    /// longer matches the frame are skipped lazily by the sweep and
-    /// compacted by ClockPush once they outnumber live entries, so the ring
-    /// stays O(resident frames) even when no eviction ever runs.
-    std::deque<ClockEntry> clock;
     /// Eviction write-backs in flight for pages already removed from
     /// `table`; FlushAll drains these before declaring the shard clean.
     size_t inflight_writes = 0;
@@ -262,20 +221,18 @@ class BufferPool {
   /// Bumps io_waits_; FetchPage calls it once per fetch that waited.
   void CountIoWait();
 
-  void Unpin(size_t frame, PageId id, bool dirty);
+  void Unpin(size_t frame, PageId id);
   void MarkFrameDirty(size_t frame, PageId id);
 
-  /// Pushes a fresh clock entry for `frame` (bumps the epoch). Requires the
-  /// owning shard's latch.
-  void ClockPush(Shard& s, size_t frame);
-
-  /// Returns an empty frame: global free list first, then clock-sweep
-  /// eviction starting at `home` and stealing from neighbors. Must be called
-  /// WITHOUT any shard latch held. ResourceExhausted when every frame is
-  /// pinned; any other error is a failed dirty write-back.
-  Result<size_t> AcquireFrame(Shard* home);
-  /// One clock sweep over `s`; kNotFound when the shard has no victim.
-  Result<size_t> EvictFromShard(Shard& s);
+  /// Returns an empty frame: the global free list first, then the clock
+  /// hand. Must be called WITHOUT any shard latch held. ResourceExhausted
+  /// when two full turns of the hand find no victim; any other error is a
+  /// failed dirty write-back.
+  Result<size_t> AcquireFrame();
+  /// The hand's step at `frame`: clears a set `ref` bit, or evicts an
+  /// unpinned idle frame whose bit is clear. True when the frame is now
+  /// empty and the caller's.
+  Result<bool> TryEvict(size_t frame);
   void ReturnFreeFrame(size_t frame);
 
   /// WAL rule + disk write of one frame's image; runs off the shard latch.
@@ -284,14 +241,9 @@ class BufferPool {
   /// latch, once the write succeeds.
   Status WriteBackFrame(Frame& frame);
 
-  /// Loads one prefetch request (worker thread).
-  void ReadaheadOne(PageId id);
-  void ReadaheadLoop();
-
   DiskManager* disk_;
   wal::LogManager* wal_;
   size_t capacity_;
-  BufferPoolConfig config_;
   size_t shards_count_ = 1;
   size_t shard_mask_ = 0;
 
@@ -301,28 +253,19 @@ class BufferPool {
   std::mutex free_mutex_;
   std::vector<size_t> free_frames_;
 
+  /// The clock hand: the next frame to consider is `hand_ % capacity_`.
+  std::atomic<size_t> hand_{0};
+
   /// Serializes FlushAll calls: a flush never observes another flush's
   /// half-finished kWriting frames, so a checkpoint cannot truncate the log
   /// under a write-back still in flight.
   std::mutex flush_mutex_;
-
-  // Readahead queue + worker.
-  std::mutex ra_mutex_;
-  std::condition_variable ra_cv_;
-  std::deque<PageId> ra_queue_;
-  /// Hint the worker is currently loading; Discard drains it so a prefetch
-  /// popped from the queue just before the discard cannot resurrect the page.
-  PageId ra_active_ = kInvalidPageId;
-  bool stop_threads_ = false;
-  std::thread ra_thread_;
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> io_waits_{0};
   std::atomic<uint64_t> shard_conflicts_{0};
-  std::atomic<uint64_t> readahead_issued_{0};
-  std::atomic<uint64_t> readahead_hits_{0};
 };
 
 }  // namespace jaguar

@@ -200,12 +200,7 @@ Status StorageEngine::Checkpoint() {
 }
 
 Status StorageEngine::Close() {
-  if (pool_ != nullptr) {
-    // The readahead worker reads the data file; it must be gone before the
-    // file closes.
-    pool_->StopWorkers();
-    JAGUAR_RETURN_IF_ERROR(Checkpoint());
-  }
+  if (pool_ != nullptr) JAGUAR_RETURN_IF_ERROR(Checkpoint());
   JAGUAR_RETURN_IF_ERROR(wal_->Close());
   return disk_.Close();
 }

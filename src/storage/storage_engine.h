@@ -39,14 +39,14 @@ class StorageEngine {
   /// beside it at `path` + ".wal". Replays the log if the previous process
   /// crashed, then checkpoints so the engine starts from a clean log.
   /// \param pool_pages buffer pool capacity in pages.
-  /// \param pool_config sharding and readahead knobs.
+  /// \param pool_config sharding knobs.
   static Result<std::unique_ptr<StorageEngine>> Open(
       const std::string& path, size_t pool_pages = 256,
       const wal::WalOptions& wal_options = wal::WalOptions(),
       const BufferPoolConfig& pool_config = BufferPoolConfig());
 
-  /// Stops the buffer pool's readahead worker, checkpoints (which flushes
-  /// every dirty page) and closes the data file and the log.
+  /// Checkpoints (which flushes every dirty page) and closes the data file
+  /// and the log.
   Status Close();
 
   BufferPool* buffer_pool() { return pool_.get(); }

@@ -308,19 +308,6 @@ Result<const TableHeap::Iterator::RecordView*> TableHeap::Iterator::Advance(
   while (page_ != kInvalidPageId) {
     if (!page_guard_.valid()) {
       JAGUAR_ASSIGN_OR_RETURN(page_guard_, pool->FetchPage(page_));
-      // Entering a fresh chain page: hint the pool about the pages after it
-      // so a sequential scan overlaps its reads with record processing. A
-      // page list is known up front, so hint its next readahead-depth pages
-      // directly instead of walking chain links.
-      if (pages_ == nullptr) {
-        pool->Prefetch(SlottedPage(page_guard_.data()).next_page_id());
-      } else {
-        const size_t hint_end =
-            std::min(end_, pos_ + 1 + pool->readahead_depth());
-        if (pos_ + 1 < hint_end) {
-          pool->Prefetch(pages_ + pos_ + 1, hint_end - pos_ - 1);
-        }
-      }
     }
     SlottedPage sp(page_guard_.data());
     while (slot_ < sp.num_slots()) {

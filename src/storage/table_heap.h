@@ -133,8 +133,7 @@ class TableHeap {
 
   /// Scan over the listed chain pages `pages[begin, end)` (overflow chains
   /// of their records are still followed) — the unit a parallel morsel
-  /// worker processes. Entering each page hints the pool about the next
-  /// readahead-depth pages of the list. `pages` must outlive the cursor.
+  /// worker processes. `pages` must outlive the cursor.
   Iterator ScanPages(const std::vector<PageId>& pages, size_t begin,
                      size_t end) {
     return Iterator(this, pages.data(), begin, end);

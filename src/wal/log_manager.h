@@ -109,8 +109,8 @@ class LogManager {
   /// WAL rule hook: guarantees every record with LSN <= `lsn` is durable
   /// before returning. No-op for kNullLsn or already-durable LSNs.
   /// Internally synchronized: the buffer pool calls this off its shard
-  /// latches — from foreground eviction write-backs and the readahead
-  /// worker's evictions — concurrently with appends on the query thread.
+  /// latches — from eviction write-backs on any fetching thread, morsel
+  /// workers included — concurrently with appends on the query thread.
   /// After a checkpoint truncates the log, a stale page LSN is simply
   /// already-durable, so late write-backs remain no-ops.
   Status EnsureDurable(Lsn lsn);

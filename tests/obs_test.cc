@@ -127,6 +127,16 @@ TEST(HistogramTest, PercentileMath) {
     EXPECT_GE(h.ValueAtPercentile(p), truth);
     EXPECT_LT(h.ValueAtPercentile(p), truth * 2 + 2);
   }
+
+  // Ten samples 1, 2, 4, ..., 512, one per bucket: p95 and p99 are the
+  // tenth sample (nearest rank ceil(9.5) and ceil(9.9)), so they answer the
+  // last bucket [512,1023]. A truncated rank answered the ninth sample's
+  // bucket [256,511].
+  Histogram powers;
+  for (uint64_t v = 1; v <= 512; v *= 2) powers.Record(v);
+  ASSERT_EQ(powers.count(), 10u);
+  EXPECT_EQ(powers.ValueAtPercentile(95), 1023u);
+  EXPECT_EQ(powers.ValueAtPercentile(99), 1023u);
 }
 
 TEST(MetricsRegistryTest, TimerRecordsIntoHistogram) {

@@ -328,7 +328,7 @@ TEST(ScanPathPoolTest, TinyPoolEvictsOverflowPagesMidScanWithoutLeakingPins) {
     }
     EXPECT_EQ(ids.size(), prefix.rows.size());
     EXPECT_GT(Delta(prefix, "storage.bufferpool.evictions"), 0u);
-    // A cursor pins up to three frames and one frame stays for readahead,
+    // A cursor pins up to three frames and one frame stays spare,
     // so the 8-page pool runs two of the four workers asked for.
     EXPECT_EQ(Delta(prefix, "exec.parallel.workers"),
               plan.workers > 1 ? 2u : 0u);

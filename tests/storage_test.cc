@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,6 +289,42 @@ TEST(BufferPoolTest, AllPinnedFails) {
   EXPECT_TRUE(pool.NewPage().ok());
 }
 
+TEST(BufferPoolTest, RefusedNewPageDoesNotGrowTheFile) {
+  TempDb db("pool_refused_new");
+  DiskManager dm;
+  ASSERT_TRUE(dm.Open(db.path()).ok());
+  BufferPool pool(&dm, 2);
+  PageGuard a = pool.NewPage().value();
+  PageGuard b = pool.NewPage().value();
+  ASSERT_EQ(dm.num_pages(), 2u);
+  // Every frame is pinned, so the pool refuses. The file must stay as it
+  // was: a page allocated first would sit at its end with nothing
+  // referencing it and no log record covering it.
+  EXPECT_TRUE(pool.NewPage().status().IsResourceExhausted());
+  EXPECT_EQ(dm.num_pages(), 2u);
+  b.Release();
+  {
+    PageGuard c = pool.NewPage().value();
+    EXPECT_EQ(c.id(), 2u);
+  }
+  // A failed allocation hands its frame back. With the file closed every
+  // call fails after taking a frame; had those frames leaked, the pool
+  // could not hold two new pages once the file reopens.
+  a.Release();
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(dm.Close().ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(pool.NewPage().status().IsInternal());
+  }
+  ASSERT_TRUE(dm.Open(db.path()).ok());
+  Result<PageGuard> d = pool.NewPage();
+  Result<PageGuard> e = pool.NewPage();
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  ASSERT_TRUE(e.ok()) << e.status().ToString();
+  EXPECT_EQ(d->id(), 3u);
+  EXPECT_EQ(e->id(), 4u);
+}
+
 TEST(BufferPoolTest, GuardMoveKeepsSinglePin) {
   TempDb db("pool_move");
   DiskManager dm;
@@ -353,7 +391,6 @@ TEST(BufferPoolTest, ConcurrentMissesOfOnePageIssueOneRead) {
 
   BufferPoolConfig config;
   config.workers_hint = 4;
-  config.readahead_pages = 0;
   BufferPool pool(&dm, 8, nullptr, config);
 
   constexpr int kThreads = 8;
@@ -412,84 +449,6 @@ TEST(BufferPoolTest, FailedWriteBackKeepsVictimReachable) {
   EXPECT_TRUE(pool.NewPage().ok());  // eviction works again
 }
 
-TEST(BufferPoolTest, PrefetchLoadsPagesColdInBackground) {
-  TempDb db("pool_prefetch");
-  DiskManager dm;
-  ASSERT_TRUE(dm.Open(db.path()).ok());
-  PageId id = dm.AllocatePage().value();
-  std::vector<uint8_t> buf(kPageSize, 0xCD);
-  ASSERT_TRUE(dm.WritePage(id, buf.data()).ok());
-
-  BufferPoolConfig config;
-  config.readahead_pages = 4;
-  BufferPool pool(&dm, 4, nullptr, config);
-  pool.Prefetch(id);
-  for (int i = 0; i < 1000 && pool.readahead_issued() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(pool.readahead_issued(), 1u);
-  // The prefetched page is resident and unpinned; fetching it is a hit.
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-  PageGuard p = pool.FetchPage(id).value();
-  EXPECT_EQ(p.data()[0], 0xCD);
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
-  EXPECT_EQ(pool.readahead_hits(), 1u);
-}
-
-TEST(BufferPoolTest, HitOnlyWorkloadKeepsClockRingBounded) {
-  TempDb db("pool_ringbound");
-  DiskManager dm;
-  ASSERT_TRUE(dm.Open(db.path()).ok());
-  BufferPool pool(&dm, 8);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 4; ++i) {
-    PageGuard p = pool.NewPage().value();
-    ids.push_back(p.id());
-  }
-  // A working set that fits in the pool never evicts, so nothing but
-  // ClockPush's own compaction reclaims the stale ring entry each pin/unpin
-  // cycle leaves behind. Before the compaction this grew by one entry per
-  // fetch, without bound, for the life of the process.
-  for (int i = 0; i < 20000; ++i) {
-    PageGuard p = pool.FetchPage(ids[i % ids.size()]).value();
-  }
-  EXPECT_EQ(pool.misses(), 0u);
-  EXPECT_LE(pool.clock_entries(),
-            2 * pool.capacity() + 17 * pool.num_shards());
-}
-
-TEST(BufferPoolTest, DiscardPurgesQueuedReadahead) {
-  TempDb db("pool_discard_ra");
-  SlowCountingDisk dm;
-  ASSERT_TRUE(dm.Open(db.path()).ok());
-  PageId busy = dm.AllocatePage().value();
-  PageId target = dm.AllocatePage().value();
-  std::vector<uint8_t> buf(kPageSize, 0x11);
-  ASSERT_TRUE(dm.WritePage(busy, buf.data()).ok());
-  ASSERT_TRUE(dm.WritePage(target, buf.data()).ok());
-
-  BufferPoolConfig config;
-  config.readahead_pages = 4;
-  BufferPool pool(&dm, 4, nullptr, config);
-  // The slow read of `busy` keeps the worker occupied, so the hint for
-  // `target` is still queued when Discard runs. Discard must purge it (or
-  // drain it, if the worker got there first): a prefetch completing after
-  // the discard would resurrect the freed page from its stale disk image.
-  pool.Prefetch(busy);
-  pool.Prefetch(target);
-  ASSERT_TRUE(pool.Discard(target).ok());
-  for (int i = 0; i < 1000 && pool.readahead_issued() < 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GE(pool.readahead_issued(), 1u);
-  // Give a resurrected prefetch (the bug) time to land before checking.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  const uint64_t misses_before = pool.misses();
-  PageGuard p = pool.FetchPage(target).value();
-  EXPECT_EQ(pool.misses(), misses_before + 1);  // target was not resident
-}
-
 // DiskManager whose page writes park until released, to observe what the
 // pool keeps available while a write-back is in flight.
 class GatedWriteDisk : public DiskManager {
@@ -535,7 +494,6 @@ TEST(BufferPoolTest, FlushAllDoesNotBlockFetchesDuringWriteBack) {
   ASSERT_TRUE(dm.Open(db.path()).ok());
   BufferPoolConfig config;
   config.shards = 1;  // both pages behind the one shard latch
-  config.readahead_pages = 0;
   BufferPool pool(&dm, 4, nullptr, config);
   PageId dirty_id, clean_id;
   {
@@ -570,10 +528,9 @@ TEST(BufferPoolTest, FlushAllDoesNotBlockFetchesDuringWriteBack) {
   EXPECT_EQ(check[0], 7);
 }
 
-// Multi-threaded fetch/evict/discard stress with the readahead worker
-// running; meant for the TSan CI job. Each thread owns
-// the pages whose id is congruent to its index (only owners mutate or
-// discard), everyone reads everything.
+// Multi-threaded fetch/evict/discard stress; meant for the TSan CI job.
+// Each thread owns the pages whose id is congruent to its index (only
+// owners mutate or discard), everyone reads everything.
 TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
   TempDb db("pool_stress");
   DiskManager dm;
@@ -585,7 +542,6 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
 
   BufferPoolConfig config;
   config.workers_hint = kThreads;
-  config.readahead_pages = 4;
   // Capacity is deliberately far below kPages so fetches constantly evict,
   // but above kThreads * 2 so concurrent transfers can't exhaust the pool.
   BufferPool pool(&dm, 16, nullptr, config);
@@ -628,9 +584,6 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
           page->data()[1]++;  // only the owner mutates
           page->MarkDirty();
         }
-        if (rng.Next() % 4 == 0) {
-          pool.Prefetch(ids[(k + 1) % kPages]);
-        }
       }
     });
   }
@@ -646,80 +599,115 @@ TEST(BufferPoolConcurrencyTest, ParallelFetchEvictDiscardStress) {
   }
 }
 
-TEST(BufferPoolTest, ReadaheadScanMatchesNoReadaheadScan) {
-  TempDb db("pool_ra_scan");
-  PageId root = kInvalidPageId;
+// Seeded single-threaded calls against a shadow copy of every live page's
+// bytes, on pools small enough that the test itself pins every frame now
+// and then. A call that needs a frame is refused exactly when the test
+// holds them all; every other call succeeds and sees the shadow's bytes.
+class BufferPoolModelTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BufferPoolModelTest, AgreesWithAShadowMap) {
+  const size_t frames = GetParam();
+  TempDb db("pool_model");
+  std::map<PageId, std::vector<uint8_t>> shadow;  // every live page
   {
-    auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/64).value();
-    root = TableHeap::Create(engine.get()).value();
-    TableHeap heap(engine.get(), root);
-    Random rng(7);
-    for (int i = 0; i < 300; ++i) {
-      // Mix of small inline records and page-spanning overflow records.
-      const size_t len = i % 17 == 0 ? 9000 : 24 + rng.Next() % 64;
-      std::vector<uint8_t> rec(len);
-      for (size_t j = 0; j < len; ++j) {
-        rec[j] = static_cast<uint8_t>((i * 131 + j) & 0xFF);
+    DiskManager dm;
+    ASSERT_TRUE(dm.Open(db.path()).ok());
+    BufferPool pool(&dm, frames);
+    Random rng(1000 + frames);
+    std::vector<PageGuard> held;  // pins the test keeps across steps
+    std::map<PageId, int> pins;   // held pins per page
+    size_t refused = 0;
+    auto keep_or_drop = [&](PageGuard g) {
+      if (rng.Uniform(3) != 0) return;  // released at once
+      ++pins[g.id()];
+      held.push_back(std::move(g));
+    };
+    auto any_live_page = [&] {
+      auto it = shadow.begin();
+      std::advance(it, rng.Uniform(shadow.size()));
+      return it->first;
+    };
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const bool all_pinned = pins.size() == frames;
+      const uint64_t op = rng.Uniform(100);
+      if (op < 15 && shadow.size() < 4 * frames + 4) {
+        const uint32_t pages = dm.num_pages();
+        Result<PageGuard> g = pool.NewPage();
+        if (all_pinned) {
+          ASSERT_TRUE(g.status().IsResourceExhausted()) << g.status().ToString();
+          ASSERT_EQ(dm.num_pages(), pages);
+          ++refused;
+          continue;
+        }
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        ASSERT_EQ(g->id(), pages);
+        std::vector<uint8_t>& want = shadow[g->id()];
+        want.assign(kPageSize, 0);
+        ASSERT_EQ(std::memcmp(g->data(), want.data(), kPageSize), 0);
+        keep_or_drop(std::move(*g));
+      } else if (op < 60 && !shadow.empty()) {
+        const PageId id = any_live_page();
+        Result<PageGuard> g = pool.FetchPage(id);
+        if (all_pinned && pins.count(id) == 0) {
+          ASSERT_TRUE(g.status().IsResourceExhausted()) << g.status().ToString();
+          ++refused;
+          continue;
+        }
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        std::vector<uint8_t>& want = shadow[id];
+        ASSERT_EQ(std::memcmp(g->data(), want.data(), kPageSize), 0)
+            << "page " << id;
+        if (rng.Uniform(2) == 0) {
+          const size_t at = rng.Uniform(kPageSize);
+          want[at] = g->data()[at] = static_cast<uint8_t>(rng.Next());
+          g->MarkDirty();
+        }
+        keep_or_drop(std::move(*g));
+      } else if (op < 80 && !held.empty()) {
+        const size_t i = rng.Uniform(held.size());
+        const PageId id = held[i].id();
+        held[i].Release();  // early: the guard itself outlives its pin
+        held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        if (--pins[id] == 0) pins.erase(id);
+      } else if (op < 92 && !shadow.empty()) {
+        const PageId id = any_live_page();
+        if (pins.count(id) != 0) continue;
+        // A discarded page's newest image is dropped on purpose, so the
+        // shadow forgets it too.
+        ASSERT_TRUE(pool.Discard(id).ok());
+        shadow.erase(id);
+      } else {
+        // Pinned pages included, every live page's image reaches the file.
+        ASSERT_TRUE(pool.FlushAll().ok());
+        std::vector<uint8_t> on_disk(kPageSize);
+        for (const auto& [id, want] : shadow) {
+          ASSERT_TRUE(dm.ReadPage(id, on_disk.data()).ok());
+          ASSERT_EQ(on_disk, want) << "page " << id;
+        }
       }
-      ASSERT_TRUE(heap.Insert(Slice(rec.data(), rec.size())).ok());
+      ASSERT_EQ(pool.pinned_frames(), pins.size());
     }
-    ASSERT_TRUE(engine->Close().ok());
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(pool.evictions(), 0u);
+    held.clear();
+    EXPECT_EQ(pool.pinned_frames(), 0u);
+    ASSERT_TRUE(pool.FlushAll().ok());
   }
-
-  auto scan_all = [&](size_t readahead) {
-    BufferPoolConfig config;
-    config.readahead_pages = readahead;
-    // A pool much smaller than the heap, so readahead actually evicts and
-    // reloads pages instead of everything staying resident.
-    auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/8,
-                                      wal::WalOptions(), config)
-                      .value();
-    TableHeap heap(engine.get(), root);
-    std::vector<std::vector<uint8_t>> rows;
-    TableHeap::Iterator it = heap.Scan();
-    while (true) {
-      auto rec = it.Next().value();
-      if (!rec.has_value()) break;
-      rows.push_back(std::move(rec->second));
-    }
-    EXPECT_EQ(engine->buffer_pool()->pinned_frames(), 0u);
-    return rows;
-  };
-  std::vector<std::vector<uint8_t>> plain = scan_all(0);
-  std::vector<std::vector<uint8_t>> ahead = scan_all(8);
-  ASSERT_EQ(plain.size(), 300u);
-  EXPECT_EQ(plain, ahead);  // byte-identical results with readahead on
+  DiskManager fresh;
+  ASSERT_TRUE(fresh.Open(db.path()).ok());
+  std::vector<uint8_t> on_disk(kPageSize);
+  for (const auto& [id, want] : shadow) {
+    ASSERT_TRUE(fresh.ReadPage(id, on_disk.data()).ok());
+    EXPECT_EQ(on_disk, want) << "page " << id;
+  }
 }
 
-TEST(BufferPoolTest, EngineCloseStopsReadaheadBeforeClosingTheFile) {
-  // Close used to close the data file while the readahead worker could
-  // still be reading it, a race the thread sanitizer reports; the pool's
-  // workers now stop first. Queue hints until Close so the worker is busy.
-  TempDb db("pool_ra_close");
-  PageId root = kInvalidPageId;
-  {
-    auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/64).value();
-    root = TableHeap::Create(engine.get()).value();
-    TableHeap heap(engine.get(), root);
-    const std::vector<uint8_t> rec(3000, 0x5A);
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(heap.Insert(Slice(rec.data(), rec.size())).ok());
-    }
-    ASSERT_TRUE(engine->Close().ok());
-  }
-  BufferPoolConfig config;
-  config.readahead_pages = 8;
-  auto engine = StorageEngine::Open(db.path(), /*pool_pages=*/8,
-                                    wal::WalOptions(), config)
-                    .value();
-  const std::vector<PageId> pages =
-      TableHeap(engine.get(), root).ListPages().value();
-  ASSERT_GT(pages.size(), 64u);
-  for (int round = 0; round < 8; ++round) {
-    engine->buffer_pool()->Prefetch(pages.data(), pages.size());
-  }
-  ASSERT_TRUE(engine->Close().ok());
-}
+INSTANTIATE_TEST_SUITE_P(
+    Pools, BufferPoolModelTest, ::testing::Values(2, 3, 16),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return std::to_string(info.param) + "_frames";
+    });
 
 TEST(StorageEngineTest, HeaderPersistsAcrossReopen) {
   TempDb db("engine");
