@@ -9,7 +9,8 @@
 //   JNI   in-process JagVM shared by all workers
 //   IJNI  isolated JagVM processes, pooled like IC++
 //
-// Emits BENCH_parallel.json (machine-readable speedups for CI artifacts).
+// Emits BENCH_parallel.json (machine-readable speedups for CI artifacts, and
+// `parallel_queries`, the last 4-worker query's `exec.parallel.queries`).
 // Shape checks require >= 2x on IC++ and JNI at 4 workers; they are skipped
 // on hosts with fewer than 4 cores, where the speedup is not achievable.
 
@@ -62,14 +63,20 @@ int Run() {
                 speedup.back());
   }
 
+  // The parallel path must actually have run (not fallen back to serial).
+  const auto& delta = parallel_env->last_metrics_delta();
+  auto it = delta.find("exec.parallel.queries");
+  const uint64_t parallel_queries = it == delta.end() ? 0 : it->second;
+
   // Machine-readable artifact for CI trend tracking.
   std::FILE* json = std::fopen("BENCH_parallel.json", "w");
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n  \"cardinality\": %d,\n  \"indep_comps\": %lld,\n"
                  "  \"workers\": %zu,\n  \"host_cores\": %u,\n"
-                 "  \"designs\": {\n",
-                 card, static_cast<long long>(indep), workers, cores);
+                 "  \"parallel_queries\": %llu,\n  \"designs\": {\n",
+                 card, static_cast<long long>(indep), workers, cores,
+                 static_cast<unsigned long long>(parallel_queries));
     for (size_t f = 0; f < fns.size(); ++f) {
       std::fprintf(json,
                    "    \"%s\": {\"serial_seconds\": %.6f, "
@@ -84,11 +91,8 @@ int Run() {
 
   std::printf("\nShape checks:\n");
   bool ok = true;
-  // The parallel path must actually have run (not fallen back to serial).
-  auto it = parallel_env->last_metrics_delta().find("exec.parallel.queries");
-  ok &= ShapeCheck(
-      it != parallel_env->last_metrics_delta().end() && it->second > 0,
-      "queries took the morsel-driven parallel path");
+  ok &= ShapeCheck(parallel_queries > 0,
+                   "queries took the morsel-driven parallel path");
   if (cores < workers) {
     std::printf("  [SKIP] speedup checks need >= %zu cores (host has %u)\n",
                 workers, cores);

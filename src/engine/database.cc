@@ -259,10 +259,13 @@ Result<QueryResult> Database::Execute(const std::string& sql_text) {
                                  : options_.query_timeout_ms;
   const QueryDeadline deadline = QueryDeadline::After(timeout_ms);
   if (deadline.active()) DeadlineQueries()->Add();
-  // Bracket execution with registry snapshots so callers get the exact
-  // boundary-crossing counts this statement caused (Figures 5/6/8 quantities)
-  // without having to diff the global registry themselves.
-  obs::MetricsSnapshot before = obs::MetricsRegistry::Global()->Snapshot();
+  // Bracket execution with two readings of the registry's slots so callers
+  // get the exact boundary-crossing counts this statement caused (Figures
+  // 5/6/8 quantities) without having to diff the global registry themselves;
+  // names are looked at only for the metrics that moved.
+  obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
+  std::vector<uint64_t> before;
+  registry->ReadValues(&before);
   Result<QueryResult> result = ExecuteStatement(stmt, deadline);
   if (!result.ok() && result.status().IsDeadlineExceeded()) {
     DeadlineExceededQueries()->Add();
@@ -285,10 +288,7 @@ Result<QueryResult> Database::Execute(const std::string& sql_text) {
         break;
     }
   }
-  if (result.ok()) {
-    result->metrics_delta =
-        obs::SnapshotDelta(before, obs::MetricsRegistry::Global()->Snapshot());
-  }
+  if (result.ok()) result->metrics_delta = registry->DeltaSince(before);
   return result;
 }
 

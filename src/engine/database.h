@@ -165,7 +165,8 @@ class Database : public UdfCallbackHandler {
   Database() = default;
 
   /// Dispatches a parsed statement; `Execute` wraps this with the
-  /// before/after metrics snapshots that fill `QueryResult::metrics_delta`.
+  /// before/after readings of the metrics registry's slots
+  /// (`ReadValues`, then `DeltaSince`) that fill `QueryResult::metrics_delta`.
   /// `deadline` is the query's cancellation token (inactive when unbounded);
   /// it lives in `Execute`'s frame for the duration of the statement.
   Result<QueryResult> ExecuteStatement(const sql::Statement& stmt,

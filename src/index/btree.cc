@@ -156,9 +156,10 @@ struct Seek {
 /// Open checks the node's framing once, as decoding it would: the kind byte,
 /// and for all `count` entries a known type tag and a key, rid and child
 /// that fit inside the node (`Value::Locate`'s checks and a bounded read's).
-/// Reads after that go unchecked. The view holds the page's pin; callers
-/// drop it before they fetch another page, so a tree operation never holds
-/// two pins.
+/// Fixed-width keys are framed inline; `Value::Locate` frames the rest and
+/// rejects unknown tags. Reads after that go unchecked. The view holds the
+/// page's pin; callers drop it before they fetch another page, so a tree
+/// operation never holds two pins.
 class NodeView {
  public:
   static Result<NodeView> Open(BufferPool* pool, PageId id) {
@@ -172,12 +173,26 @@ class NodeView {
     const uint16_t count = LoadU16(d + 2);
     size_t end = kNodeHeader;
     for (uint16_t i = 0; i < count; ++i) {
-      TypeId type;
-      Slice payload;
-      JAGUAR_ASSIGN_OR_RETURN(
-          size_t key_size,
-          Value::Locate(Slice(d + end, kNodeEnd - end), &type, &payload));
-      if (key_size == 0 || kNodeEnd - end - key_size < tail) {
+      // Each fixed-width tag gets its own branch, so once the branch is
+      // predicted the next entry's offset does not wait on the tag load (a
+      // size table would make it wait). At room 0, d[end] is the LSN
+      // footer's first byte, still inside the page.
+      const size_t room = kNodeEnd - end;
+      const TypeId tag = static_cast<TypeId>(d[end]);
+      size_t key_size;  // tag byte + payload
+      if (tag == TypeId::kInt || tag == TypeId::kDouble) {
+        key_size = 1 + 8;
+      } else if (tag == TypeId::kNull) {
+        key_size = 1;
+      } else if (tag == TypeId::kBool) {
+        key_size = 1 + 1;
+      } else {
+        TypeId type;
+        Slice payload;
+        JAGUAR_ASSIGN_OR_RETURN(
+            key_size, Value::Locate(Slice(d + end, room), &type, &payload));
+      }
+      if (key_size == 0 || room < key_size + tail) {
         return Corruption(StringPrintf(
             "index page %u: entry %u of %u runs past the node", id, i, count));
       }

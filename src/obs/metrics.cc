@@ -88,17 +88,24 @@ MetricsRegistry* MetricsRegistry::Global() {
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (histograms_.count(name) != 0) return nullptr;
-  std::unique_ptr<Counter>& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return slot.get();
+  std::unique_ptr<Counter>& counter = counters_[name];
+  if (counter == nullptr) {
+    counter = std::make_unique<Counter>();
+    slots_.push_back({name, counter.get()});
+  }
+  return counter.get();
 }
 
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (counters_.count(name) != 0) return nullptr;
-  std::unique_ptr<Histogram>& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return slot.get();
+  std::unique_ptr<Histogram>& hist = histograms_[name];
+  if (hist == nullptr) {
+    hist = std::make_unique<Histogram>();
+    slots_.push_back({name + ".count", nullptr, hist.get(), false});
+    slots_.push_back({name + ".sum", nullptr, hist.get(), true});
+  }
+  return hist.get();
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot(const std::string& prefix) const {
@@ -113,6 +120,24 @@ MetricsSnapshot MetricsRegistry::Snapshot(const std::string& prefix) const {
     snap[name + ".sum"] = hist->sum();
   }
   return snap;
+}
+
+void MetricsRegistry::ReadValues(std::vector<uint64_t>* values) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  values->resize(slots_.size());
+  for (size_t i = 0; i < slots_.size(); ++i) (*values)[i] = slots_[i].Read();
+}
+
+MetricsSnapshot MetricsRegistry::DeltaSince(
+    const std::vector<uint64_t>& before) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  MetricsSnapshot delta;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    const uint64_t base = i < before.size() ? before[i] : 0;
+    const uint64_t value = slots_[i].Read();
+    if (value != base) delta.emplace(slots_[i].name, value - base);
+  }
+  return delta;
 }
 
 std::vector<std::pair<std::string, std::string>> MetricsRegistry::Rows(

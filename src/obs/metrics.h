@@ -12,7 +12,7 @@
 /// counters: every subsystem registers counters/histograms by dotted name
 /// ("udf.jni.invocations", "ipc.shm.messages", ...) and the engine exposes
 /// them through `SHOW METRICS`, `DumpText()`/`DumpJson()` and per-query
-/// snapshot deltas in `QueryResult`.
+/// deltas in `QueryResult`.
 ///
 /// Concurrency model: `GetCounter`/`GetHistogram` take a mutex once to
 /// register or look up a name and return a pointer that is stable for the
@@ -107,6 +107,17 @@ class MetricsRegistry {
   /// Reads every metric whose name starts with `prefix` ("" = all).
   MetricsSnapshot Snapshot(const std::string& prefix = "") const;
 
+  /// Reads every registered value into `*values`, one per slot in
+  /// registration order: a counter is one slot, a histogram two (its count,
+  /// then its sum). Loads only, under the registration mutex: no name is
+  /// touched and no map is built.
+  void ReadValues(std::vector<uint64_t>* values) const;
+
+  /// `SnapshotDelta` of a `ReadValues` reading and the registry now: an
+  /// entry, under its `Snapshot` name, only for each slot whose value moved.
+  /// A slot registered after `before` was read counts from zero.
+  MetricsSnapshot DeltaSince(const std::vector<uint64_t>& before) const;
+
   /// One metric per line, sorted by name:
   ///   storage.bufferpool.hits 1043
   ///   udf.jni.latency_ns count=10000 sum=54321000 p50=4095 p99=16383
@@ -122,10 +133,25 @@ class MetricsRegistry {
       const std::string& prefix = "") const;
 
  private:
+  /// One value in registration order: a counter, or a histogram's count or
+  /// sum. `name` is its `Snapshot` key, built once at registration.
+  struct Slot {
+    std::string name;
+    const Counter* counter = nullptr;
+    const Histogram* histogram = nullptr;
+    bool sum = false;  ///< which half of `histogram`
+
+    uint64_t Read() const {
+      if (counter != nullptr) return counter->value();
+      return sum ? histogram->sum() : histogram->count();
+    }
+  };
+
   mutable std::mutex mutex_;
   // node-based maps: element addresses are stable across inserts.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::vector<Slot> slots_;
 };
 
 /// RAII scope timer: records elapsed nanoseconds into `hist` on destruction.

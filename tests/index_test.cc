@@ -884,5 +884,54 @@ TEST_F(BTreeCorruptionTest, DefectiveRootIsCorruption) {
   ExpectFramingDefectsCaught(root_);
 }
 
+// Fixed-width keys (NULL, BOOL, INT, DOUBLE) are framed without
+// `Value::Locate`: an entry with such a key whose rid runs one byte past
+// the node is still Corruption.
+TEST(BTreeFramingTest, FixedWidthEntryPastTheNodeIsCorruption) {
+  TempDb db("framing");
+  auto engine = StorageEngine::Open(db.path()).value();
+  const PageId root = BTree::Create(engine.get()).value();
+  BTree tree(engine.get(), root);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(tree.Insert(Value::Int(i), Rid(1, i)).ok());
+  }
+  const RawNode leaf = ReadRaw(engine.get(), root);
+  ASSERT_TRUE(leaf.leaf);
+  const std::vector<uint8_t> clean = PageBytes(engine.get(), root);
+  for (TypeId type :
+       {TypeId::kNull, TypeId::kBool, TypeId::kInt, TypeId::kDouble}) {
+    SCOPED_TRACE(TypeIdToString(type));
+    const size_t key_bytes = type == TypeId::kNull   ? 1
+                             : type == TypeId::kBool ? 2
+                                                     : 9;
+    // Entries with NULL (7 bytes) and BOOL (8 bytes) keys fill the node up
+    // to a last entry of `type` that has room for its key and 5 rid bytes.
+    const size_t last = kPageLsnOffset - (key_bytes + 5);
+    const size_t fill = last - leaf.end;
+    const size_t bools = fill % 7;
+    const size_t nulls = (fill - 8 * bools) / 7;
+    std::vector<uint8_t> junk;
+    for (size_t i = 0; i < nulls + bools; ++i) {
+      junk.push_back(static_cast<uint8_t>(i < nulls ? TypeId::kNull
+                                                    : TypeId::kBool));
+      junk.resize(junk.size() + (i < nulls ? 6 : 7), 0);
+    }
+    ASSERT_EQ(junk.size(), fill);
+    junk.push_back(static_cast<uint8_t>(type));
+    junk.resize(kPageLsnOffset - leaf.end, 0);
+    PokePage(engine.get(), root, leaf.end, junk.data(), junk.size());
+    const uint16_t count =
+        static_cast<uint16_t>(leaf.count + nulls + bools + 1);
+    PokePage(engine.get(), root, 2, &count, 2);
+    EXPECT_TRUE(tree.SearchEqual(Value::Int(3)).status().IsCorruption());
+    EXPECT_TRUE(tree.Scan(std::nullopt, std::nullopt).status().IsCorruption());
+    EXPECT_TRUE(tree.CheckInvariants().IsCorruption());
+    PokePage(engine.get(), root, 0, clean.data(), clean.size());
+    ASSERT_TRUE(tree.CheckInvariants().ok());
+  }
+  EXPECT_EQ(tree.SearchEqual(Value::Int(3)).value().size(), 1u);
+  ASSERT_TRUE(engine->Close().ok());
+}
+
 }  // namespace
 }  // namespace jaguar

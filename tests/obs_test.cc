@@ -1,14 +1,17 @@
 // Tests for the src/obs metrics layer: registry registration/lookup, counter
 // concurrency, histogram bucket/percentile math, snapshot-delta semantics,
-// prefix filtering — plus the end-to-end acceptance path: a query invoking a
-// JNI-design UDF 10,000 times is fully observable through both SHOW METRICS
-// and the QueryResult metrics delta.
+// the slot readings behind `QueryResult::metrics_delta`, prefix filtering —
+// plus the end-to-end acceptance path: a query invoking a JNI-design UDF
+// 10,000 times is fully observable through both SHOW METRICS and the
+// QueryResult metrics delta, and every statement's delta equals the
+// snapshot diff taken around it.
 
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -170,6 +173,40 @@ TEST(MetricsRegistryTest, SnapshotDeltaSemantics) {
   EXPECT_EQ(delta.count("test.obs.delta.idle"), 0u);
 }
 
+TEST(MetricsRegistryTest, DeltaSinceMatchesSnapshotDelta) {
+  MetricsRegistry* reg = MetricsRegistry::Global();
+  Counter* changed = reg->GetCounter("test.obs.slots.changed");
+  reg->GetCounter("test.obs.slots.idle");
+  Histogram* hist = reg->GetHistogram("test.obs.slots.hist");
+
+  std::vector<uint64_t> values;
+  reg->ReadValues(&values);
+  const MetricsSnapshot before = reg->Snapshot();
+  changed->Add(7);
+  hist->Record(100);
+  reg->GetCounter("test.obs.slots.late")->Add(2);  // born after the reading
+  reg->GetHistogram("test.obs.slots.late_hist")->Record(5);
+  reg->GetCounter("test.obs.slots.late_idle");
+
+  const MetricsSnapshot delta = reg->DeltaSince(values);
+  EXPECT_EQ(delta, obs::SnapshotDelta(before, reg->Snapshot()));
+  EXPECT_EQ(delta.at("test.obs.slots.changed"), 7u);
+  EXPECT_EQ(delta.at("test.obs.slots.hist.count"), 1u);
+  EXPECT_EQ(delta.at("test.obs.slots.hist.sum"), 100u);
+  // Slots registered after the reading count from zero.
+  EXPECT_EQ(delta.at("test.obs.slots.late"), 2u);
+  EXPECT_EQ(delta.at("test.obs.slots.late_hist.count"), 1u);
+  EXPECT_EQ(delta.at("test.obs.slots.late_hist.sum"), 5u);
+  EXPECT_EQ(delta.count("test.obs.slots.idle"), 0u);
+  EXPECT_EQ(delta.count("test.obs.slots.late_idle"), 0u);
+
+  // A counter is one slot, a histogram two.
+  std::vector<uint64_t> after;
+  reg->ReadValues(&after);
+  EXPECT_EQ(after.size(), values.size() + 4);
+  EXPECT_TRUE(reg->DeltaSince(after).empty());
+}
+
 TEST(MetricsRegistryTest, PrefixFiltering) {
   MetricsRegistry* reg = MetricsRegistry::Global();
   reg->GetCounter("test.obs.like.alpha")->Add();
@@ -319,6 +356,174 @@ TEST_F(MetricsE2eTest, DmlStatementsCarryDeltas) {
   QueryResult sel = MustExecute("SELECT x FROM t");
   EXPECT_EQ(sel.metrics_delta.at("exec.seqscan.tuples"), 3u);
   EXPECT_EQ(sel.metrics_delta.at("exec.project.tuples"), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// QueryResult::metrics_delta against whole-registry snapshots
+// ---------------------------------------------------------------------------
+
+class MetricsDeltaTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    DatabaseOptions options;
+    options.wal_fsync = false;
+    db_ = Database::Open(db_file_.path(), options).value();
+  }
+  void TearDown() override { db_.reset(); }
+
+  /// Runs `sql`; when it succeeds, expects its `metrics_delta` to equal the
+  /// `SnapshotDelta` of two whole-registry snapshots taken around the call.
+  Result<QueryResult> ExecuteAndCompare(const std::string& sql) {
+    MetricsRegistry* reg = MetricsRegistry::Global();
+    const MetricsSnapshot before = reg->Snapshot();
+    Result<QueryResult> r = db_->Execute(sql);
+    const MetricsSnapshot after = reg->Snapshot();
+    if (r.ok()) {
+      EXPECT_EQ(r->metrics_delta, obs::SnapshotDelta(before, after)) << sql;
+    }
+    return r;
+  }
+
+  QueryResult MustExecute(const std::string& sql) {
+    Result<QueryResult> r = ExecuteAndCompare(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status();
+    return r.ok() ? std::move(r).value() : QueryResult{};
+  }
+
+  /// Creates r(id INT, b BYTEARRAY), with an index on id when `indexed`,
+  /// and fills it with ids 0..rows-1 in one multi-row INSERT.
+  void MakeTable(int rows, bool indexed) {
+    MustExecute("CREATE TABLE r (id INT, b BYTEARRAY)");
+    if (indexed) MustExecute("CREATE INDEX r_id ON r (id)");
+    std::string sql = "INSERT INTO r VALUES ";
+    for (int i = 0; i < rows; ++i) {
+      if (i > 0) sql += ", ";
+      sql += StringPrintf("(%d, randbytes(16, %d))", i, i);
+    }
+    EXPECT_EQ(MustExecute(sql).rows_affected, static_cast<uint64_t>(rows));
+  }
+
+  /// Registers the generic UDF as `name` under the given design.
+  void RegisterGeneric(const std::string& name, UdfLanguage lang) {
+    UdfInfo info;
+    info.name = name;
+    info.language = lang;
+    info.return_type = TypeId::kInt;
+    info.arg_types = {TypeId::kBytes, TypeId::kInt, TypeId::kInt,
+                      TypeId::kInt};
+    if (lang == UdfLanguage::kJJava) {
+      info.impl_name = "GenericUdf.run";
+      info.payload = jjc::Compile(GenericUdfJJavaSource()).value().Serialize();
+    } else {
+      info.impl_name = "generic_udf";
+    }
+    ASSERT_TRUE(db_->RegisterUdf(info).ok()) << name;
+  }
+
+  TempDb db_file_{"delta"};
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(MetricsDeltaTest, EveryStatementMatchesTheSnapshotDiff) {
+  MakeTable(50, /*indexed=*/true);
+  RegisterGeneric("g_jni", UdfLanguage::kJJava);
+
+  QueryResult native =
+      MustExecute("SELECT id, length(b) FROM r WHERE abs_int(id) < 30");
+  EXPECT_EQ(native.rows.size(), 30u);
+  EXPECT_EQ(native.metrics_delta.at("udf.cpp.invocations"), 50u + 30u);
+  QueryResult jni =
+      MustExecute("SELECT g_jni(b, 10, 1, 0) FROM r WHERE id >= 10");
+  EXPECT_EQ(jni.rows.size(), 40u);
+  EXPECT_EQ(jni.metrics_delta.at("udf.jni.invocations"), 40u);
+  EXPECT_EQ(jni.metrics_delta.at("udf.jni.latency_ns.count"), 40u);
+  EXPECT_EQ(jni.metrics_delta.at("exec.index.range_scans"), 1u);
+
+  EXPECT_EQ(
+      MustExecute("UPDATE r SET id = id + 100 WHERE id < 5").rows_affected,
+      5u);
+  EXPECT_EQ(MustExecute("DELETE FROM r WHERE id > 140").rows_affected, 0u);
+  EXPECT_EQ(MustExecute("DELETE FROM r WHERE id > 102").rows_affected, 2u);
+  EXPECT_GT(MustExecute("SHOW METRICS").rows.size(), 0u);
+  EXPECT_TRUE(MustExecute("SET TIMEOUT 0").metrics_delta.empty());
+
+  // A statement that fails part-way (division by zero at id 7) reports no
+  // delta, and its work does not leak into the next statement's.
+  Result<QueryResult> failed = ExecuteAndCompare("SELECT 1 / (id - 7) FROM r");
+  EXPECT_FALSE(failed.ok());
+  QueryResult count = MustExecute("SELECT COUNT(*) FROM r");
+  ASSERT_EQ(count.rows.size(), 1u);
+  EXPECT_EQ(count.rows[0].value(0).AsInt(), 48);
+  EXPECT_EQ(count.metrics_delta.at("exec.seqscan.tuples"), 48u);
+}
+
+TEST_F(MetricsDeltaTest, AMetricBornInAStatementReportsItsFullCount) {
+  MakeTable(20, /*indexed=*/false);
+  RegisterGeneric("g_sfi", UdfLanguage::kNativeSfi);
+  // No other test here calls the SFI design: its first call, inside the
+  // next statement, registers udf.sfi_cpp.*.
+  ASSERT_TRUE(MetricsRegistry::Global()->Snapshot("udf.sfi_cpp.").empty());
+
+  QueryResult r = MustExecute("SELECT g_sfi(b, 10, 1, 0) FROM r");
+  ASSERT_EQ(r.rows.size(), 20u);
+  EXPECT_EQ(r.metrics_delta.at("udf.sfi_cpp.invocations"), 20u);
+  EXPECT_EQ(r.metrics_delta.at("udf.sfi_cpp.latency_ns.count"), 20u);
+  EXPECT_GT(r.metrics_delta.at("udf.sfi_cpp.latency_ns.sum"), 0u);
+  EXPECT_GT(r.metrics_delta.at("udf.sfi_cpp.arg_bytes"), 0u);
+}
+
+TEST_F(MetricsDeltaTest, RegistrationBesideExecuteKeepsEachDeltaExact) {
+  MakeTable(200, /*indexed=*/true);
+  const std::vector<std::string> script = {
+      "SELECT id FROM r WHERE id >= 20 AND id < 60",
+      "SELECT COUNT(*) FROM r WHERE length(b) > 3",
+      "UPDATE r SET b = zerobytes(4) WHERE id < 10",
+  };
+  auto exec_counts = [](const MetricsSnapshot& delta) {
+    MetricsSnapshot out;
+    for (const auto& [name, value] : delta) {
+      if (StartsWith(name, "exec.")) out.emplace(name, value);
+    }
+    return out;
+  };
+  std::vector<MetricsSnapshot> single_threaded;
+  for (const std::string& sql : script) {
+    single_threaded.push_back(exec_counts(MustExecute(sql).metrics_delta));
+    EXPECT_FALSE(single_threaded.back().empty()) << sql;
+  }
+
+  // A second thread registers fresh counters and histograms, and moves
+  // them, for as long as the statements run; every statement still reports
+  // exactly its own exec.* counts.
+  constexpr int kRegistrations = 2000;
+  std::atomic<bool> started{false};
+  std::atomic<bool> registered{false};
+  std::thread registrar([&] {
+    while (!started.load()) std::this_thread::yield();
+    MetricsRegistry* reg = MetricsRegistry::Global();
+    for (int i = 0; i < kRegistrations; ++i) {
+      reg->GetCounter(StringPrintf("test.obs.churn.c%d", i))->Add(i + 1);
+      reg->GetHistogram(StringPrintf("test.obs.churn.h%d", i))->Record(i);
+    }
+    registered.store(true);
+  });
+  started.store(true);
+  // Whole-registry snapshots taken here would catch the other thread's
+  // moves, so these statements run without ExecuteAndCompare.
+  int rounds = 0;
+  for (; !registered.load() || rounds < 3; ++rounds) {
+    for (size_t s = 0; s < script.size(); ++s) {
+      // No ASSERT here: returning early would skip the join.
+      Result<QueryResult> r = db_->Execute(script[s]);
+      EXPECT_TRUE(r.ok()) << script[s] << " -> " << r.status();
+      if (!r.ok()) continue;
+      EXPECT_EQ(exec_counts(r->metrics_delta), single_threaded[s])
+          << script[s] << " in round " << rounds;
+    }
+  }
+  registrar.join();
+  EXPECT_EQ(MetricsRegistry::Global()->Snapshot("test.obs.churn.").size(),
+            3u * kRegistrations);
 }
 
 }  // namespace
