@@ -1,6 +1,9 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/bytes.h"
 #include "common/string_util.h"
@@ -195,6 +198,12 @@ Database::~Database() {
 
 Result<std::unique_ptr<Database>> Database::Open(
     const std::string& path, const DatabaseOptions& options) {
+#if defined(__GLIBC__)
+  // A fixed (process-wide) trim threshold stops glibc from handing back and
+  // re-faulting the heap top each time a batch of large values is freed.
+  [[maybe_unused]] static const int trim_set =
+      mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
   RegisterBuiltinUdfs();
   RegisterGenericUdfs();
   auto db = std::unique_ptr<Database>(new Database());

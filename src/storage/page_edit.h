@@ -10,11 +10,14 @@
 ///     ... mutate page.data() ...
 ///     JAGUAR_RETURN_IF_ERROR(edit.Commit());
 ///
-/// Commit() diffs the current contents against the snapshot, appends one
-/// physical after-image record covering the changed byte range, stamps the
-/// record's LSN into the page footer and marks the page dirty. Nothing is
-/// appended (and the page is not dirtied) when the mutation turned out to be
-/// a no-op.
+/// Commit() diffs the current contents against the snapshot 8 bytes at a
+/// time, appends one kPageRuns record (wal/wal_record.h) carrying only the
+/// changed runs — changed words at most one equal word apart share a run,
+/// and each run is trimmed to its first and last changed byte — stamps the
+/// record's LSN into the page footer and marks the page dirty. A heap insert
+/// therefore logs its slot, header fields and record, not the free gap
+/// between them. Nothing is appended (and the page is not dirtied) when the
+/// mutation turned out to be a no-op.
 ///
 /// One rule follows from diff-based logging: every mutation of a cached page
 /// must go through an edit that gets committed — an unlogged mutation would

@@ -12,10 +12,11 @@ namespace {
 inline void Opaque(int64_t& v) { asm volatile("" : "+r"(v)); }
 inline void Opaque(uint64_t& v) { asm volatile("" : "+r"(v)); }
 
-/// The measured loops live in separate noinline functions with aligned loop
-/// heads so that unrelated edits elsewhere in this file cannot shift their
-/// code layout and perturb the benchmark baselines.
-__attribute__((noinline, optimize("align-loops=32"))) int64_t
+/// The measured loops live in separate noinline functions, each starting on
+/// a 64-byte line with 64-byte aligned loop heads, so that edits anywhere
+/// else in the binary cannot shift their code layout against cache lines
+/// and perturb the benchmark baselines.
+__attribute__((noinline, aligned(64), optimize("align-loops=64"))) int64_t
 UncheckedDataPass(const uint8_t* p, uint64_t n, int64_t acc) {
   for (uint64_t j = 0; j < n; ++j) {
     acc += p[j];
@@ -28,7 +29,7 @@ UncheckedDataPass(const uint8_t* p, uint64_t n, int64_t acc) {
 /// the check compares an opaque index against the array length **reloaded
 /// from memory** each time — in Java the length is an object field, and the
 /// JITs of the paper's era did not hoist it out of loops.
-__attribute__((noinline, optimize("align-loops=32"))) bool
+__attribute__((noinline, aligned(64), optimize("align-loops=64"))) bool
 CheckedDataPass(const uint8_t* p, uint64_t n, int64_t* acc_io) {
   volatile uint64_t length_field = n;
   int64_t acc = *acc_io;
@@ -43,7 +44,7 @@ CheckedDataPass(const uint8_t* p, uint64_t n, int64_t* acc_io) {
   return true;
 }
 
-__attribute__((noinline, optimize("align-loops=32"))) int64_t
+__attribute__((noinline, aligned(64), optimize("align-loops=64"))) int64_t
 IndepComputePass(int64_t count, int64_t acc) {
   for (int64_t i = 0; i < count; ++i) {
     acc += i;

@@ -9,10 +9,11 @@ namespace {
 inline void Opaque(int64_t& v) { asm volatile("" : "+r"(v)); }
 
 /// The paper's generic benchmark UDF, SFI-instrumented: every byte access is
-/// masked into the sandbox region.
-Status SfiGenericUdf(sfi::SfiRegion* region, uint64_t data_len,
-                     const std::vector<Value>& args, UdfContext* ctx,
-                     Value* out) {
+/// masked into the sandbox region. Its loops are pinned to 64-byte lines
+/// like generic_udf.cc's, so unrelated code cannot move them.
+__attribute__((aligned(64), optimize("align-loops=64"))) Status
+SfiGenericUdf(sfi::SfiRegion* region, uint64_t data_len,
+              const std::vector<Value>& args, UdfContext* ctx, Value* out) {
   JAGUAR_ASSIGN_OR_RETURN(int64_t indep, args[1].CoerceInt());
   JAGUAR_ASSIGN_OR_RETURN(int64_t dep, args[2].CoerceInt());
   JAGUAR_ASSIGN_OR_RETURN(int64_t callbacks, args[3].CoerceInt());

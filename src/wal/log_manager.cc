@@ -139,18 +139,32 @@ Status LogManager::Close() {
   return s;
 }
 
-Result<Lsn> LogManager::Append(WalRecord rec) {
+template <typename Encode>
+Result<Lsn> LogManager::AppendFrame(Encode encode) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!is_open()) return Internal("log manager not open");
   Lsn lsn = base_lsn_ + (write_off_ + pending_.size() - kHeaderSize);
-  rec.lsn = lsn;
-  size_t frame_size = AppendWalFrame(rec, &pending_);
+  size_t frame_size = encode(lsn);
   static obs::Counter* appends = WalCounter("appends");
   static obs::Counter* bytes = WalCounter("bytes");
   appends->Add();
   bytes->Add(frame_size);
   JAGUAR_CRASH_POINT("wal.after_log_append");
   return lsn;
+}
+
+Result<Lsn> LogManager::Append(WalRecord rec) {
+  return AppendFrame([&](Lsn lsn) {
+    rec.lsn = lsn;
+    return AppendWalFrame(rec, &pending_);
+  });
+}
+
+Result<Lsn> LogManager::AppendPageRuns(PageId page_id, const uint8_t* page,
+                                       std::span<const PageRun> runs) {
+  return AppendFrame([&](Lsn lsn) {
+    return AppendPageRunsFrame(lsn, page_id, page, runs, &pending_);
+  });
 }
 
 Status LogManager::FlushPendingLocked() {
@@ -271,14 +285,12 @@ Status LogManager::Recover(PageDevice* device, RecoveryStats* stats) {
       case WalRecordType::kCheckpoint:
         JAGUAR_RETURN_IF_ERROR(device->EnsureSize(rec.aux));
         break;
-      case WalRecordType::kPageWrite: {
+      case WalRecordType::kPageWrite:
+      case WalRecordType::kPageRuns: {
         JAGUAR_RETURN_IF_ERROR(device->EnsureSize(rec.page_id + 1));
         JAGUAR_RETURN_IF_ERROR(device->ReadPage(rec.page_id, page.data()));
         if (rec.lsn > PageLsn(page.data())) {
-          if (!rec.data.empty()) {
-            std::memcpy(page.data() + rec.offset, rec.data.data(),
-                        rec.data.size());
-          }
+          ApplyPageRecord(rec, page.data());
           SetPageLsn(page.data(), rec.lsn);
           JAGUAR_RETURN_IF_ERROR(device->WritePage(rec.page_id, page.data()));
           ++local.pages_replayed;
@@ -289,7 +301,7 @@ Status LogManager::Recover(PageDevice* device, RecoveryStats* stats) {
       }
       case WalRecordType::kPageFree:
       case WalRecordType::kCatalogRoot:
-        // Markers: their physical effects travel in kPageWrite records.
+        // Markers: their physical effects travel in page records.
         break;
     }
   }

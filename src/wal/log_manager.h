@@ -6,9 +6,9 @@
 ///
 /// The contract with the storage layer:
 ///
-///  * Every page mutation appends a physical after-image record *before* the
-///    page can reach the data file; the assigned LSN is stamped into the
-///    page's footer (`kPageLsnOffset` in storage/page.h).
+///  * Every page mutation appends a physical after-image record of the bytes
+///    it changed *before* the page can reach the data file; the assigned LSN
+///    is stamped into the page's footer (`kPageLsnOffset` in storage/page.h).
 ///  * Before a dirty page is written, the buffer pool calls `EnsureDurable`
 ///    with the page's LSN — the WAL rule.
 ///  * `Commit()` makes all appended records durable with one fsync; callers
@@ -18,7 +18,7 @@
 ///    file is synced — atomically resets the log so replay length stays
 ///    bounded by the write traffic since the last checkpoint.
 ///  * On open after a crash, `Recover()` scans the tail and re-applies every
-///    record whose LSN exceeds the footer LSN of its target page.
+///    page record whose LSN exceeds the footer LSN of its target page.
 ///
 /// LSNs are logical byte offsets: `lsn = base_lsn + (frame offset in file -
 /// header size)`. `base_lsn` is persisted in the log file header and advanced
@@ -106,6 +106,12 @@ class LogManager {
   /// Buffered records become durable on Commit()/EnsureDurable().
   Result<Lsn> Append(WalRecord rec);
 
+  /// Like Append, for the kPageRuns record of `runs` of `page` (see
+  /// AppendPageRunsFrame): the frame is built in place in the log buffer,
+  /// copying each run straight from the page.
+  Result<Lsn> AppendPageRuns(PageId page_id, const uint8_t* page,
+                             std::span<const PageRun> runs);
+
   /// WAL rule hook: guarantees every record with LSN <= `lsn` is durable
   /// before returning. No-op for kNullLsn or already-durable LSNs.
   /// Internally synchronized: the buffer pool calls this off its shard
@@ -137,6 +143,10 @@ class LogManager {
 
  private:
   Status WriteHeader(int fd, Lsn base_lsn);
+  /// Append's body: `encode(lsn)` appends the frame for `lsn` to pending_
+  /// and returns its size.
+  template <typename Encode>
+  Result<Lsn> AppendFrame(Encode encode);
   /// Appends pending frames to the file (no fsync). Requires mutex_ held.
   Status FlushPendingLocked();
   /// fsyncs the log file. Requires mutex_ held.

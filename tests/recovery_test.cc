@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -32,7 +33,9 @@
 #include "engine/database.h"
 #include "index/btree.h"
 #include "obs/metrics.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
+#include "storage/page_edit.h"
 #include "storage/storage_engine.h"
 #include "storage/table_heap.h"
 #include "temp_db.h"
@@ -522,6 +525,163 @@ TEST(RecoveryTest, TornPageHealedByRedo) {
     auto rec = it.Next().value();
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->second, RecordBytes(i)) << "record " << i;
+  }
+  ASSERT_TRUE(engine->Close().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Page records sized to the change, and replay of both page record types.
+// ---------------------------------------------------------------------------
+
+/// The bytes of page `id`, footer included, as the buffer pool holds them.
+std::vector<uint8_t> PageImage(StorageEngine* engine, PageId id) {
+  PageGuard page = engine->buffer_pool()->FetchPage(id).value();
+  return std::vector<uint8_t>(page.data(), page.data() + kPageSize);
+}
+
+TEST(WalPageEditTest, HeapInsertIntoAHalfEmptyPageLogsTheRow) {
+  TempDb db("edit_heap");
+  auto engine = StorageEngine::Open(db.path()).value();
+  const PageId root = TableHeap::Create(engine.get()).value();
+  TableHeap heap(engine.get(), root);
+  // 38 records of 100 bytes plus their slots fill about half the page.
+  for (int i = 0; i < 38; ++i) {
+    ASSERT_EQ(heap.Insert(Slice(RecordBytes(i))).value().page_id, root);
+  }
+  const uint64_t before = engine->wal()->LogBytes();
+  ASSERT_EQ(heap.Insert(Slice(RecordBytes(38))).value().page_id, root);
+  // The slot, the header's slot count and cell start, and the record; not
+  // the 4 KB of free space between the slot directory and the cells.
+  EXPECT_LT(engine->wal()->LogBytes() - before, 300u);
+  ASSERT_TRUE(engine->Close().ok());
+}
+
+TEST(WalPageEditTest, AscendingLeafInsertLogsTheEntry) {
+  TempDb db("edit_leaf");
+  auto engine = StorageEngine::Open(db.path()).value();
+  const PageId root = BTree::Create(engine.get()).value();
+  BTree tree(engine.get(), root);
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree.Insert(Value::Int(i), RecordId{1, uint16_t(i)}).ok());
+  }
+  {
+    // The root is still one leaf (kind 1) of 200 entries.
+    const std::vector<uint8_t> node = PageImage(engine.get(), root);
+    ASSERT_EQ(node[0], 1);
+    ASSERT_EQ(node[2] | node[3] << 8, 200);
+  }
+  const uint64_t before = engine->wal()->LogBytes();
+  ASSERT_TRUE(tree.Insert(Value::Int(200), RecordId{1, 200}).ok());
+  // The node's count and the appended entry; not everything from the count
+  // field to the new entry.
+  EXPECT_LT(engine->wal()->LogBytes() - before, 300u);
+  ASSERT_TRUE(engine->Close().ok());
+}
+
+TEST(PageRunsReplayTest, EveryThirdByteEditReplaysByteForByte) {
+  // Two edits at the bounds of the run rule: every third byte (one run of
+  // nearly the whole page), then one byte in every third word (the most
+  // runs a page can give: 341 of one byte, 16 equal bytes apart).
+  TempDb src("third_src");
+  TempDb dst("third_dst");
+  PageId id = kInvalidPageId;
+  std::vector<uint8_t> expected;
+  {
+    auto engine = StorageEngine::Open(src.path()).value();
+    id = engine->AllocatePage().value();
+    Random rng(33);
+    {
+      PageGuard page = engine->buffer_pool()->FetchPage(id).value();
+      WalPageEdit edit(engine->wal(), &page);
+      const std::vector<uint8_t> fill = rng.Bytes(kPageLsnOffset);
+      std::memcpy(page.data(), fill.data(), kPageLsnOffset);
+      ASSERT_TRUE(edit.Commit().ok());
+    }
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    const uint64_t before = engine->wal()->LogBytes();
+    {
+      PageGuard page = engine->buffer_pool()->FetchPage(id).value();
+      WalPageEdit edit(engine->wal(), &page);
+      for (uint32_t i = 0; i < kPageLsnOffset; i += 3) page.data()[i] ^= 0x5A;
+      ASSERT_TRUE(edit.Commit().ok());
+    }
+    constexpr uint64_t kHeaders =
+        wal::kWalFrameHeaderSize + wal::kWalPayloadHeaderSize;
+    // One record whose data (the runs and their headers) fits in a page.
+    const uint64_t mid = engine->wal()->LogBytes();
+    EXPECT_LE(mid - before - kHeaders, kPageSize);
+    {
+      PageGuard page = engine->buffer_pool()->FetchPage(id).value();
+      WalPageEdit edit(engine->wal(), &page);
+      for (uint32_t i = 7; i < kPageLsnOffset; i += 24) page.data()[i] ^= 0x5A;
+      ASSERT_TRUE(edit.Commit().ok());
+    }
+    EXPECT_EQ(engine->wal()->LogBytes() - mid - kHeaders, 341u * (4 + 1));
+    expected = PageImage(engine.get(), id);
+    ASSERT_TRUE(engine->WalCommit().ok());
+    CopyCrashImage(src, dst);
+    ASSERT_TRUE(engine->Close().ok());
+  }
+  auto engine = StorageEngine::Open(dst.path()).value();
+  EXPECT_EQ(engine->recovery_stats().pages_replayed, 2u);
+  EXPECT_EQ(PageImage(engine.get(), id), expected);
+  ASSERT_TRUE(engine->Close().ok());
+}
+
+TEST(PageRunsReplayTest, OldFormatPageWritesStillReplay) {
+  // Earlier builds logged each page edit as one kPageWrite range. Append
+  // such records through LogManager::Append, interleaved with page edits
+  // (kPageRuns) on the same pages, crash, and recover the same pages.
+  TempDb src("oldfmt_src");
+  TempDb dst("oldfmt_dst");
+  std::vector<PageId> ids;
+  std::vector<std::vector<uint8_t>> expected;
+  constexpr uint64_t kRecords = 60;
+  {
+    auto engine = StorageEngine::Open(src.path()).value();
+    for (int i = 0; i < 3; ++i) ids.push_back(engine->AllocatePage().value());
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    Random rng(77);
+    for (uint64_t round = 0; round < kRecords; ++round) {
+      const PageId id = ids[rng.Uniform(ids.size())];
+      const uint32_t offset =
+          static_cast<uint32_t>(rng.Uniform(kPageLsnOffset));
+      const std::vector<uint8_t> mask = rng.Bytes(
+          1 + rng.Uniform(std::min<uint32_t>(300, kPageLsnOffset - offset)));
+      PageGuard page = engine->buffer_pool()->FetchPage(id).value();
+      auto change = [&] {  // every masked byte changes
+        for (size_t i = 0; i < mask.size(); ++i) {
+          page.data()[offset + i] ^= mask[i] | 1;
+        }
+      };
+      if (round % 2 == 0) {
+        // What an earlier build's WalPageEdit did.
+        change();
+        wal::WalRecord rec;
+        rec.type = wal::WalRecordType::kPageWrite;
+        rec.page_id = id;
+        rec.offset = offset;
+        rec.data.assign(page.data() + offset,
+                        page.data() + offset + mask.size());
+        const wal::Lsn lsn = engine->wal()->Append(std::move(rec)).value();
+        SetPageLsn(page.data(), lsn);
+        page.MarkDirty();
+      } else {
+        WalPageEdit edit(engine->wal(), &page);
+        change();
+        ASSERT_TRUE(edit.Commit().ok());
+      }
+    }
+    for (PageId id : ids) expected.push_back(PageImage(engine.get(), id));
+    ASSERT_TRUE(engine->WalCommit().ok());
+    CopyCrashImage(src, dst);
+    ASSERT_TRUE(engine->Close().ok());
+  }
+  auto engine = StorageEngine::Open(dst.path()).value();
+  EXPECT_EQ(engine->recovery_stats().pages_replayed, kRecords);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(PageImage(engine.get(), ids[i]), expected[i])
+        << "page " << ids[i];
   }
   ASSERT_TRUE(engine->Close().ok());
 }
